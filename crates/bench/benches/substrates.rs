@@ -6,7 +6,7 @@ use appvsweb_adblock::FilterEngine;
 use appvsweb_bench::repo_root;
 use appvsweb_httpsim::{codec, wire, Body, Request, Url};
 use appvsweb_pii::recon::{DecisionTree, TreeConfig};
-use appvsweb_pii::{hash, GroundTruth, GroundTruthMatcher};
+use appvsweb_pii::{hash, Encoding, GroundTruth, GroundTruthMatcher};
 use appvsweb_testkit::BenchRunner;
 use std::collections::BTreeSet;
 
@@ -74,6 +74,30 @@ fn bench_matcher(runner: &mut BenchRunner) {
     );
     runner.bench("matcher_scan_clean_flow", || matcher.scan(clean));
     runner.bench("matcher_scan_leaky_flow", || matcher.scan(&dirty));
+
+    // The sparse walk's worst case: long hex and base64 tokens that run
+    // deep into the dictionary's digest chains before diverging (each
+    // forces a walk back along failure links), then the full digests.
+    let mut digest_heavy = String::from("POST /v1/sync HTTP/1.1\nHost: t.example\n\n");
+    for value in [&truth.email, &truth.device_ids[0].1, &truth.device_ids[1].1] {
+        for encoding in [
+            Encoding::Md5,
+            Encoding::Sha1,
+            Encoding::Sha256,
+            Encoding::Base64,
+        ] {
+            let token = encoding.apply(value);
+            for cut in (6..token.len()).step_by(6) {
+                digest_heavy.push_str(&token[..cut]);
+                digest_heavy.push_str("zz&");
+            }
+            digest_heavy.push_str(&token);
+            digest_heavy.push('&');
+        }
+    }
+    runner.bench("matcher_scan_digest_heavy_flow", || {
+        matcher.scan(&digest_heavy)
+    });
 }
 
 fn bench_decision_tree(runner: &mut BenchRunner) {

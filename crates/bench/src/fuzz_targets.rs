@@ -50,6 +50,13 @@ pub fn all() -> Vec<FuzzTarget> {
             max_len: 512,
         },
         FuzzTarget {
+            name: "pii_aho",
+            run: appvsweb_pii::fuzz::run_aho,
+            dict: appvsweb_pii::fuzz::AHO_DICT,
+            seeds: appvsweb_pii::fuzz::AHO_SEEDS,
+            max_len: 512,
+        },
+        FuzzTarget {
             name: "lint_lexer",
             run: appvsweb_lint::fuzz::run,
             dict: appvsweb_lint::fuzz::DICT,
@@ -129,7 +136,7 @@ mod tests {
         deduped.sort_unstable();
         deduped.dedup();
         assert_eq!(deduped.len(), names.len(), "duplicate target name");
-        assert_eq!(names.len(), 13);
+        assert_eq!(names.len(), 14);
     }
 
     #[test]

@@ -262,8 +262,7 @@ pub fn train_recon(catalog: &Catalog, cfg: &StudyConfig) -> ReconClassifier {
         };
         for os in [Os::Android, Os::Ios] {
             let mut tb = Testbed::for_cell(spec, os, session_cfg.seed);
-            let dict = appvsweb_pii::cache::compiled(&tb.truth);
-            let matcher = &dict.matcher;
+            let matcher = appvsweb_pii::cache::compiled(&tb.truth);
             for medium in Medium::BOTH {
                 // Training sessions journal under a `train/` pseudo-cell
                 // id; they run on the main thread before any worker.

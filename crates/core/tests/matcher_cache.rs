@@ -1,6 +1,6 @@
 //! Pins the compiled-dictionary cache guarantee: one Aho–Corasick build
-//! per distinct ground-truth identity per study, zero rebuilds on a
-//! repeat run. This is the fix for the old per-cell
+//! per distinct ground-truth identity per study, at any worker count,
+//! and zero rebuilds on a repeat run. This is the fix for the old per-cell
 //! `GroundTruthMatcher::new` rebuild (each ~ms of automaton
 //! construction, 196 times per campaign).
 //!
@@ -53,5 +53,22 @@ fn study_compiles_each_identity_once() {
     assert_eq!(
         appvsweb_json::encode(&first),
         appvsweb_json::encode(&second)
+    );
+
+    // Two workers racing over a fresh seed's identities still compile
+    // each exactly once: a worker that finds an identity mid-build
+    // waits for it instead of building its own copy.
+    let raced = StudyConfig {
+        seed: 0x00D1_C7CB,
+        workers: 2,
+        ..cfg
+    };
+    let before = cache::stats();
+    let study = run_study(&raced);
+    let after = cache::stats();
+    assert_eq!(
+        after.builds - before.builds,
+        study.cells.len() as u64 / 2,
+        "racing workers must not compile an identity twice"
     );
 }

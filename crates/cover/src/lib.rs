@@ -17,8 +17,12 @@
 //! Everything here is deterministic under a single driving thread: the
 //! same input through the same instrumented code touches the same slots
 //! the same number of times. (The engine serializes fuzz runs behind a
-//! lock for exactly that reason.)
+//! lock for exactly that reason.) Hits count only on the thread that
+//! called [`enable`], so instrumented code running concurrently on other
+//! threads — other tests in the same test binary — cannot perturb a
+//! fuzz run's map.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
 /// Number of slots in the global edge map. Collisions merely merge
@@ -33,17 +37,25 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static PREV: AtomicUsize = AtomicUsize::new(0);
 static HITS: [AtomicU32; MAP_SIZE] = [const { AtomicU32::new(0) }; MAP_SIZE];
 
-/// Turn the map on. Call [`reset`] first for a clean slate.
+thread_local! {
+    /// Whether this thread is the one that enabled the map.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Turn the map on for the calling thread. Call [`reset`] first for a
+/// clean slate.
 pub fn enable() {
+    ACTIVE.with(|a| a.set(true));
     ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Turn the map off; [`cover!`] reverts to a single load per hit.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
+    ACTIVE.with(|a| a.set(false));
 }
 
-/// Whether hits are currently being recorded.
+/// Whether the map is on (hits count on the thread that enabled it).
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
@@ -60,7 +72,7 @@ pub fn reset() {
 /// [`cover!`] macro, which computes the hash as a constant.
 #[inline]
 pub fn hit(site: usize) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !ENABLED.load(Ordering::Relaxed) || !ACTIVE.with(Cell::get) {
         return;
     }
     // AFL edge mixing: bump hash(prev → current), then shift the current
@@ -161,6 +173,18 @@ mod tests {
         let mut second = Vec::new();
         nonzero_into(&mut second);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn other_threads_do_not_record() {
+        let _guard = LOCK.lock().unwrap();
+        reset();
+        enable();
+        std::thread::scope(|s| {
+            s.spawn(|| cover!());
+        });
+        disable();
+        assert_eq!(edges_hit(), 0);
     }
 
     #[test]

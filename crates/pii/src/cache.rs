@@ -1,23 +1,26 @@
 //! Process-wide compiled-dictionary cache.
 //!
-//! Compiling a [`GroundTruthMatcher`] builds two Aho–Corasick automata
-//! (~5 ms on the reference box), and a study touches each of its 98
-//! distinct `(service, OS)` ground truths twice per worker shuffle. The
-//! cache keys the compiled dictionary on the *content* of the
+//! Compiling a [`GroundTruthMatcher`] encodes every ground-truth value
+//! under every search chain and builds two Aho–Corasick automata (about
+//! 1 ms and under 256 KB per identity), and a study touches each of its
+//! 98 distinct `(service, OS)` ground truths twice per worker shuffle.
+//! The cache keys the compiled dictionary on the *content* of the
 //! [`GroundTruth`] (its canonical JSON form), so every cell that shares
 //! an identity shares one compilation. Correctness is unaffected:
 //! compilation is a pure function of the truth, and the canonical-JSON
 //! key means two equal truths can never disagree.
 //!
+//! Each key owns a slot that is inserted under the lock and filled
+//! outside it: workers racing on one identity wait for its single
+//! build, while lookups of other identities never block on a build.
+//!
 //! The cache is bounded: past [`CACHE_CAPACITY`] entries it is cleared
 //! wholesale (the resident `repro serve` path churns through arbitrary
 //! revisions and must not grow without bound). Build/hit counters are
-//! exposed through [`stats`] so tests can pin "one build per study".
+//! exposed through [`stats`] so tests can pin "one build per identity".
 
-use crate::encode::search_chains;
 use crate::matcher::GroundTruthMatcher;
 use crate::profile::GroundTruth;
-use crate::types::PiiType;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -25,76 +28,57 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Entries retained before the cache is cleared wholesale.
 pub const CACHE_CAPACITY: usize = 512;
 
-/// A ground-truth dictionary compiled once and shared by every pipeline
-/// stage that searches for the same identity.
-#[derive(Debug)]
-pub struct CompiledDictionary {
-    /// The Aho–Corasick-backed matcher (detection step 2).
-    pub matcher: GroundTruthMatcher,
-    /// Lowercased encoded variants of every value, used by the
-    /// verification step (detection step 3).
-    pub variants: Vec<(PiiType, String)>,
-}
-
-impl CompiledDictionary {
-    /// Compile `truth` without consulting the cache.
-    // lint:allow(T1) dictionary construction: encodes ground truth to SEARCH for it; nothing leaves the process
-    pub fn build(truth: &GroundTruth) -> Self {
-        let chains = search_chains();
-        let mut variants = Vec::new();
-        for (t, v) in truth.values() {
-            for chain in &chains {
-                variants.push((t, chain.apply(&v).to_ascii_lowercase()));
-            }
-        }
-        CompiledDictionary {
-            matcher: GroundTruthMatcher::new(truth),
-            variants,
-        }
-    }
-}
-
 /// Build/hit counters for the process-wide cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Dictionaries compiled from scratch.
     pub builds: u64,
-    /// Lookups served from an already-compiled dictionary.
+    /// Lookups that found their identity's slot already present
+    /// (compiled, or being compiled by another worker).
     pub hits: u64,
 }
 
 static BUILDS: AtomicU64 = AtomicU64::new(0);
 static HITS: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> &'static Mutex<HashMap<String, Arc<CompiledDictionary>>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<CompiledDictionary>>>> = OnceLock::new();
+/// One identity's matcher: filled exactly once, by whichever caller
+/// gets there first.
+type Slot = Arc<OnceLock<Arc<GroundTruthMatcher>>>;
+
+fn cache() -> &'static Mutex<HashMap<String, Slot>> {
+    static CACHE: OnceLock<Mutex<HashMap<String, Slot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Fetch (or compile and memoize) the dictionary for `truth`.
+/// Fetch (or compile and memoize) the matcher for `truth`.
 // lint:allow(T1) cache keying: the canonical JSON of the truth stays in-process as a map key; nothing leaves
-pub fn compiled(truth: &GroundTruth) -> Arc<CompiledDictionary> {
+pub fn compiled(truth: &GroundTruth) -> Arc<GroundTruthMatcher> {
     let key = appvsweb_json::encode(truth);
-    {
+    let slot = {
         // A poisoned lock only means another thread panicked mid-insert;
         // the map itself is still coherent (inserts are single calls).
-        let map = cache().lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(dict) = map.get(&key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(dict);
+        let mut map = cache().lock().unwrap_or_else(|p| p.into_inner());
+        match map.get(&key) {
+            Some(slot) => {
+                HITS.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(slot)
+            }
+            None => {
+                if map.len() >= CACHE_CAPACITY {
+                    appvsweb_cover::cover!();
+                    map.clear();
+                }
+                Arc::clone(map.entry(key).or_default())
+            }
         }
-    }
-    // Compile outside the lock: a study's workers race to warm the same
-    // 98 identities, and holding the lock across a multi-ms build would
-    // serialize them. A lost race costs one redundant build.
-    let dict = Arc::new(CompiledDictionary::build(truth));
-    BUILDS.fetch_add(1, Ordering::Relaxed);
-    let mut map = cache().lock().unwrap_or_else(|p| p.into_inner());
-    if map.len() >= CACHE_CAPACITY {
-        appvsweb_cover::cover!();
-        map.clear();
-    }
-    Arc::clone(map.entry(key).or_insert(dict))
+    };
+    // Compile outside the lock. A build that panics leaves the slot
+    // empty, so the next caller retries it.
+    let matcher = slot.get_or_init(|| {
+        BUILDS.fetch_add(1, Ordering::Relaxed);
+        Arc::new(GroundTruthMatcher::new(truth))
+    });
+    Arc::clone(matcher)
 }
 
 /// Current build/hit counters.
@@ -110,22 +94,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn same_truth_compiles_once() {
+    fn same_truth_shares_one_dictionary() {
+        // The build counter itself is pinned in `tests/cache_counters.rs`,
+        // a test binary of its own: other unit tests here compile
+        // dictionaries concurrently and would bump it.
         let truth = GroundTruth::synthetic(0xCAC4E).with_device(
             "Nexus 5",
             &[("imei", "354436069633711")],
             Some((42.361145, -71.057083)),
         );
-        let before = stats();
         let a = compiled(&truth);
         let b = compiled(&truth.clone());
-        let after = stats();
         assert!(
             Arc::ptr_eq(&a, &b),
             "equal truths must share one dictionary"
         );
-        assert_eq!(after.builds - before.builds, 1);
-        assert!(after.hits > before.hits);
     }
 
     #[test]
@@ -133,12 +116,8 @@ mod tests {
         let a = compiled(&GroundTruth::synthetic(1));
         let b = compiled(&GroundTruth::synthetic(2));
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_ne!(
-            a.matcher.candidate_count(),
-            0,
-            "compiled dictionary must be populated"
-        );
-        assert_ne!(b.variants.len(), 0);
+        assert_ne!(a.candidate_count(), 0, "compiled matcher must be populated");
+        assert_ne!(b.candidate_count(), 0);
     }
 
     #[test]
@@ -149,14 +128,10 @@ mod tests {
             Some((42.35, -71.06)),
         );
         let cached = compiled(&truth);
-        let fresh = CompiledDictionary::build(&truth);
-        assert_eq!(cached.variants, fresh.variants);
-        assert_eq!(
-            cached.matcher.candidate_count(),
-            fresh.matcher.candidate_count()
-        );
+        let fresh = GroundTruthMatcher::new(&truth);
+        assert_eq!(cached.candidate_count(), fresh.candidate_count());
         // Same scan behaviour on a representative flow.
         let flow = format!("GET /t?email={}&ll=42.35,-71.06 HTTP/1.1", truth.email);
-        assert_eq!(cached.matcher.scan(&flow), fresh.matcher.scan(&flow));
+        assert_eq!(cached.scan(&flow), fresh.scan(&flow));
     }
 }

@@ -14,7 +14,6 @@
 //! type in the flow, or the value ReCon extracts from key/value context
 //! equals a known ground-truth value under some encoding.
 
-use crate::cache::CompiledDictionary;
 use crate::matcher::{GroundTruthMatcher, PiiFinding};
 use crate::profile::GroundTruth;
 use crate::recon::ReconClassifier;
@@ -68,32 +67,32 @@ impl DetectorReport {
 
 /// The three-step detection pipeline.
 pub struct CombinedDetector {
-    dict: Arc<CompiledDictionary>,
+    matcher: Arc<GroundTruthMatcher>,
     recon: Option<ReconClassifier>,
 }
 
 impl CombinedDetector {
     /// Build the pipeline for one session identity. Pass `None` for
     /// `recon` to run matcher-only (one arm of the ablation). The
-    /// compiled dictionary (matcher automata + verification variants)
-    /// comes from the process-wide [`crate::cache`], so repeated
+    /// compiled matcher (automata and candidates) comes from the
+    /// process-wide [`crate::cache`], so repeated
     /// constructions over the same identity share one compilation.
     pub fn new(truth: &GroundTruth, recon: Option<ReconClassifier>) -> Self {
         CombinedDetector {
-            dict: crate::cache::compiled(truth),
+            matcher: crate::cache::compiled(truth),
             recon,
         }
     }
 
     /// Access the underlying matcher (for matcher-only pipelines).
     pub fn matcher(&self) -> &GroundTruthMatcher {
-        &self.dict.matcher
+        &self.matcher
     }
 
     /// Scan one flow to `domain` whose raw text is `text`.
     pub fn scan(&self, domain: &str, text: &str) -> DetectorReport {
         // Step 2 (run first because it is exact): string matching.
-        let findings = self.dict.matcher.scan(text);
+        let findings = self.matcher.scan(text);
         let mut matched_types: Vec<PiiType> = findings.iter().map(|f| f.pii_type).collect();
         matched_types.sort();
         matched_types.dedup();
@@ -156,13 +155,7 @@ impl CombinedDetector {
             if !t.key_hints().iter().any(|h| k == *h || k.contains(h)) {
                 continue;
             }
-            let v = v.to_ascii_lowercase();
-            if self
-                .dict
-                .variants
-                .iter()
-                .any(|(tt, variant)| *tt == t && !variant.is_empty() && v == *variant)
-            {
+            if self.matcher.encodes_value(t, &v.to_ascii_lowercase()) {
                 return true;
             }
         }

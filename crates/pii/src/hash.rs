@@ -8,6 +8,8 @@
 //! functions. None of this is used for security; the implementations
 //! favour clarity over speed.
 
+use appvsweb_httpsim::codec;
+
 /// MD5 digest (16 bytes) of `data`.
 pub fn md5(data: &[u8]) -> [u8; 16] {
     // Per-round shift amounts.
@@ -226,21 +228,17 @@ fn pad_be(data: &[u8]) -> Vec<u8> {
 
 /// Lowercase-hex MD5, the form trackers actually transmit.
 pub fn md5_hex(data: &[u8]) -> String {
-    to_hex(&md5(data))
+    codec::hex_encode(&md5(data))
 }
 
 /// Lowercase-hex SHA-1.
 pub fn sha1_hex(data: &[u8]) -> String {
-    to_hex(&sha1(data))
+    codec::hex_encode(&sha1(data))
 }
 
 /// Lowercase-hex SHA-256.
 pub fn sha256_hex(data: &[u8]) -> String {
-    to_hex(&sha256(data))
-}
-
-fn to_hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    codec::hex_encode(&sha256(data))
 }
 
 #[cfg(test)]

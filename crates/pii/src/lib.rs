@@ -50,7 +50,7 @@ pub mod recon;
 pub mod tokenize;
 pub mod types;
 
-pub use cache::{CacheStats, CompiledDictionary};
+pub use cache::CacheStats;
 pub use detector::{CombinedDetector, Detection, DetectorReport};
 pub use encode::Encoding;
 pub use matcher::{GroundTruthMatcher, PiiFinding};

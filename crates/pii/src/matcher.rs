@@ -13,7 +13,7 @@
 //! * base64-looking blobs are decoded and re-searched (layered decoding)
 
 use crate::aho::AhoCorasick;
-use crate::encode::{search_chains, EncodingChain};
+use crate::encode::{search_chains, Encoding, EncodingChain};
 use crate::profile::GroundTruth;
 use crate::tokenize::extract_kv;
 use crate::types::PiiType;
@@ -39,8 +39,12 @@ pub struct PiiFinding {
 #[derive(Clone, Debug)]
 struct Candidate {
     pii_type: PiiType,
-    original: String,
-    chain_label: String,
+    /// The ground-truth value (original, un-encoded form), as an index
+    /// into [`GroundTruthMatcher::values`].
+    value: u32,
+    /// The transform chain, as an index into
+    /// [`GroundTruthMatcher::labels`].
+    chain: u8,
     encoded: String,
     /// Case-sensitive search? (hashes/base64 yes, text no)
     case_sensitive: bool,
@@ -57,6 +61,15 @@ struct Candidate {
 #[derive(Clone, Debug)]
 pub struct GroundTruthMatcher {
     candidates: Vec<Candidate>,
+    /// Searched values, original form; the first `truth_values` are
+    /// `GroundTruth::values()`, the rest the extra GPS precisions and
+    /// phone form.
+    values: Vec<String>,
+    truth_values: usize,
+    /// Label of each search chain (`search_chains()` order).
+    labels: Vec<String>,
+    /// Index of the identity chain among `labels`.
+    plain_chain: usize,
     /// Case-insensitive automaton over lowercase patterns; values map
     /// back into `candidates`.
     ci_auto: AhoCorasick,
@@ -77,66 +90,75 @@ impl GroundTruthMatcher {
     // lint:allow(T1) matcher-side index construction: encodes ground truth to SEARCH for it; nothing leaves the process
     pub fn new(truth: &GroundTruth) -> Self {
         let chains = search_chains();
-        let mut candidates = Vec::new();
+        let all_chains: Vec<usize> = (0..chains.len()).collect();
+        // GPS and the dashed phone form: plain + percent only; nobody
+        // hashes a coordinate.
+        let coord_chains: Vec<usize> = [Encoding::Plain, Encoding::Percent, Encoding::FormPercent]
+            .iter()
+            .filter_map(|e| chains.iter().position(|c| c.0 == [*e]))
+            .collect();
+        let plain_chain = chains
+            .iter()
+            .position(|c| c.0 == [Encoding::Plain])
+            .unwrap_or(usize::MAX);
 
-        let mut add = |pii_type: PiiType, value: &str, chains: &[EncodingChain]| {
-            if value.is_empty() {
-                return;
+        // What to search for, and under which chains: every value of
+        // the truth, then GPS at every precision 2..=6 and the dashed
+        // phone form (digit-only is StripSeparators in the standard
+        // chains).
+        let mut sources: Vec<(PiiType, String, &[usize])> = truth
+            .values()
+            .into_iter()
+            .map(|(t, v)| (t, v, &all_chains[..]))
+            .collect();
+        let truth_values = sources.len();
+        for decimals in 2..=6 {
+            if let Some((lat, lon)) = truth.gps_at_precision(decimals) {
+                let both = format!("{lat},{lon}");
+                for v in [lat, lon, both] {
+                    sources.push((PiiType::Location, v, &coord_chains[..]));
+                }
             }
-            for chain in chains {
-                let encoded = chain.apply(value);
+        }
+        let digits: String = truth.phone.chars().filter(|c| c.is_ascii_digit()).collect();
+        if digits.len() >= 10 {
+            let dashed = format!("{}-{}-{}", &digits[..3], &digits[3..6], &digits[6..]);
+            sources.push((PiiType::PhoneNumber, dashed, &coord_chains[..]));
+        }
+
+        let labels: Vec<String> = chains.iter().map(EncodingChain::label).collect();
+        let hashlike: Vec<bool> = chains
+            .iter()
+            .map(|chain| {
+                chain.0.iter().any(|e| {
+                    e.is_hash()
+                        || matches!(e, Encoding::Base64 | Encoding::Base64Url | Encoding::Hex)
+                })
+            })
+            .collect();
+        let mut candidates = Vec::new();
+        let mut values = Vec::with_capacity(sources.len());
+        for (index, (pii_type, value, which)) in sources.into_iter().enumerate() {
+            let which = if value.is_empty() { &[][..] } else { which };
+            for &chain in which {
+                let encoded = chains[chain].apply(&value);
                 if encoded.is_empty() {
                     continue;
                 }
-                let is_hashlike = chain.0.iter().any(|e| {
-                    e.is_hash()
-                        || matches!(
-                            e,
-                            crate::encode::Encoding::Base64
-                                | crate::encode::Encoding::Base64Url
-                                | crate::encode::Encoding::Hex
-                        )
-                });
                 candidates.push(Candidate {
                     pii_type,
-                    original: value.to_string(),
-                    chain_label: chain.label(),
-                    encoded: if is_hashlike {
-                        encoded.clone()
+                    value: index as u32,
+                    chain: chain as u8,
+                    free_text: encoded.len() >= MIN_FREE_TEXT_LEN,
+                    encoded: if hashlike[chain] {
+                        encoded
                     } else {
                         encoded.to_ascii_lowercase()
                     },
-                    case_sensitive: is_hashlike,
-                    free_text: encoded.len() >= MIN_FREE_TEXT_LEN,
+                    case_sensitive: hashlike[chain],
                 });
             }
-        };
-
-        for (t, v) in truth.values() {
-            add(t, &v, &chains);
-        }
-        // GPS at every precision 2..=6 (plain + percent only; nobody
-        // hashes a coordinate).
-        let coord_chains: Vec<EncodingChain> = vec![
-            EncodingChain(vec![crate::encode::Encoding::Plain]),
-            EncodingChain(vec![crate::encode::Encoding::Percent]),
-            EncodingChain(vec![crate::encode::Encoding::FormPercent]),
-        ];
-        for decimals in 2..=6 {
-            if let Some((lat, lon)) = truth.gps_at_precision(decimals) {
-                add(PiiType::Location, &lat, &coord_chains);
-                add(PiiType::Location, &lon, &coord_chains);
-                add(PiiType::Location, &format!("{lat},{lon}"), &coord_chains);
-            }
-        }
-        // Phone number digit-only form is handled by StripSeparators in
-        // the standard chains; also add the dashed form.
-        if !truth.phone.is_empty() {
-            let digits: String = truth.phone.chars().filter(|c| c.is_ascii_digit()).collect();
-            if digits.len() >= 10 {
-                let dashed = format!("{}-{}-{}", &digits[..3], &digits[3..6], &digits[6..]);
-                add(PiiType::PhoneNumber, &dashed, &coord_chains);
-            }
+            values.push(value);
         }
 
         // Compile the free-text dictionary into automata.
@@ -178,6 +200,10 @@ impl GroundTruthMatcher {
 
         GroundTruthMatcher {
             candidates,
+            values,
+            truth_values,
+            labels,
+            plain_chain,
             ci_auto,
             ci_index,
             cs_auto,
@@ -190,6 +216,36 @@ impl GroundTruthMatcher {
     /// Number of precomputed candidates (index size).
     pub fn candidate_count(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// Is `value` (ASCII-lowercased) some searched encoding of one of
+    /// the truth's `t`-typed values? This is detection step 3's check
+    /// for a value ReCon pulled out of key/value context.
+    pub fn encodes_value(&self, t: PiiType, value: &str) -> bool {
+        self.candidates
+            .iter()
+            .take_while(|c| (c.value as usize) < self.truth_values)
+            .any(|c| c.pii_type == t && c.encoded.eq_ignore_ascii_case(value))
+    }
+
+    /// Heap bytes held by the matcher: both automata, the candidate
+    /// table with its strings, and the index vectors.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let strings: usize = self
+            .candidates
+            .iter()
+            .map(|c| c.encoded.capacity())
+            .chain(self.values.iter().chain(&self.labels).map(String::capacity))
+            .sum();
+        self.ci_auto.heap_bytes()
+            + self.cs_auto.heap_bytes()
+            + self.candidates.capacity() * size_of::<Candidate>()
+            + (self.values.capacity() + self.labels.capacity()) * size_of::<String>()
+            + strings
+            + (self.ci_index.capacity() + self.cs_index.capacity() + self.short_index.capacity())
+                * size_of::<usize>()
+            + self.short_types.capacity() * size_of::<PiiType>()
     }
 
     /// Scan raw flow text for ground-truth PII.
@@ -240,8 +296,8 @@ impl GroundTruthMatcher {
                 .map(|(k, _)| k.clone());
             findings.push(PiiFinding {
                 pii_type: c.pii_type,
-                value: c.original.clone(),
-                encoding: c.chain_label.clone(),
+                value: self.values[c.value as usize].clone(),
+                encoding: self.labels[c.chain as usize].clone(),
                 key,
             });
         }
@@ -274,8 +330,8 @@ impl GroundTruthMatcher {
                 if *v_norm == c.encoded || *v_norm_decoded == c.encoded {
                     findings.push(PiiFinding {
                         pii_type: c.pii_type,
-                        value: c.original.clone(),
-                        encoding: c.chain_label.clone(),
+                        value: self.values[c.value as usize].clone(),
+                        encoding: self.labels[c.chain as usize].clone(),
                         key: Some(k.clone()),
                     });
                 }
@@ -291,12 +347,12 @@ impl GroundTruthMatcher {
                     for c in self
                         .candidates
                         .iter()
-                        .filter(|c| c.free_text && c.chain_label == "plain")
+                        .filter(|c| c.free_text && c.chain as usize == self.plain_chain)
                     {
                         if inner_lower.contains(&c.encoded) {
                             findings.push(PiiFinding {
                                 pii_type: c.pii_type,
-                                value: c.original.clone(),
+                                value: self.values[c.value as usize].clone(),
                                 encoding: "base64(payload)".into(),
                                 key: None,
                             });

@@ -14,6 +14,9 @@
 //!   never drops a matching rule (zero false negatives)
 //! * pooled buffers come back scrubbed and the pool counters conserve
 //! * batched RNG draws consume streams identically to sequential draws
+//! * the compact Aho–Corasick automaton finds exactly what a quadratic
+//!   naive scan finds, on tiny alphabets, on long shared-prefix
+//!   patterns over all 256 bytes, and on real dictionary-shaped sets
 //! * the compiled-dictionary cache returns matchers equivalent to a
 //!   fresh build
 
@@ -24,6 +27,7 @@ use appvsweb::httpsim::wire::{self, reference};
 use appvsweb::httpsim::{compress, Body, Request, Response, StatusCode, Url};
 use appvsweb::netsim::pool;
 use appvsweb::pii::aho::{AhoCorasick, Match};
+use appvsweb::pii::encode::search_chains;
 use appvsweb::pii::{cache, GroundTruth, GroundTruthMatcher};
 use appvsweb_testkit::{gen, prop_test, Gen, SimRng};
 
@@ -164,6 +168,81 @@ fn small_alphabet_patterns() -> impl Gen<Value = Vec<Vec<u8>>> {
     })
 }
 
+/// 1–64-byte patterns over the full byte alphabet, most extending or
+/// forking a prefix of an earlier pattern, plus a haystack stitched from
+/// pattern fragments and stray bytes. Each case favours one to three bytes
+/// drawn from 0..=255, so suffixes of one pattern keep recurring as
+/// prefixes of another: the walk runs deep into the sparse states,
+/// misses mid-chain and falls back along long failure chains.
+fn shared_prefix_case() -> impl Gen<Value = (Vec<Vec<u8>>, Vec<u8>)> {
+    gen::from_fn(|rng: &mut SimRng| {
+        let favoured: Vec<u8> = (0..1 + rng.below(3))
+            .map(|_| rng.below(256) as u8)
+            .collect();
+        let byte = |rng: &mut SimRng| match rng.below(16) {
+            0 => rng.below(256) as u8,
+            _ => favoured[rng.below(favoured.len() as u64) as usize],
+        };
+        let mut patterns: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..1 + rng.below(12) {
+            let len = 1 + rng.below(64) as usize;
+            let mut pattern = match patterns.len() as u64 {
+                0 => Vec::new(),
+                k => patterns[rng.below(k) as usize].clone(),
+            };
+            pattern.truncate(rng.below(len as u64 + 1) as usize);
+            while pattern.len() < len {
+                pattern.push(byte(rng));
+            }
+            patterns.push(pattern);
+        }
+        let mut haystack = Vec::new();
+        for _ in 0..rng.below(12) {
+            let p = &patterns[rng.below(patterns.len() as u64) as usize];
+            let start = rng.below(p.len() as u64 + 1) as usize;
+            haystack.extend_from_slice(&p[start..]);
+            for _ in 0..rng.below(4) {
+                haystack.push(byte(rng));
+            }
+        }
+        (patterns, haystack)
+    })
+}
+
+/// Dictionary-shaped sets: every `search_chains()` encoding of every
+/// value of a synthetic ground truth (hex digests of 32/40/64 chars,
+/// base64, percent forms, short values that end inside longer ones),
+/// with a haystack stitched from their fragments.
+fn dictionary_case() -> impl Gen<Value = (Vec<Vec<u8>>, Vec<u8>)> {
+    gen::from_fn(|rng: &mut SimRng| {
+        let truth = GroundTruth::synthetic(rng.below(1 << 32));
+        let chains = search_chains();
+        let patterns: Vec<Vec<u8>> = truth
+            .values()
+            .iter()
+            .flat_map(|(_, v)| chains.iter().map(|c| c.apply(v).into_bytes()))
+            .collect();
+        let haystack = stitch(rng, &patterns, 6);
+        (patterns, haystack)
+    })
+}
+
+/// Up to `pieces` random fragments of `patterns` (whole ones included),
+/// each followed by a few random bytes.
+fn stitch(rng: &mut SimRng, patterns: &[Vec<u8>], pieces: u64) -> Vec<u8> {
+    let mut haystack = Vec::new();
+    for _ in 0..rng.below(pieces + 1) {
+        let p = &patterns[rng.below(patterns.len() as u64) as usize];
+        let start = rng.below(p.len() as u64 + 1) as usize;
+        let end = start + rng.below((p.len() - start) as u64 + 1) as usize;
+        haystack.extend_from_slice(&p[start..end]);
+        for _ in 0..rng.below(3) {
+            haystack.push(rng.below(256) as u8);
+        }
+    }
+    haystack
+}
+
 /// A quadratic-time oracle for [`AhoCorasick::find_all`]: check every
 /// (pattern, end) pair by direct suffix comparison.
 fn naive_find_all(patterns: &[Vec<u8>], haystack: &[u8]) -> Vec<Match> {
@@ -179,6 +258,23 @@ fn naive_find_all(patterns: &[Vec<u8>], haystack: &[u8]) -> Vec<Match> {
         }
     }
     out
+}
+
+/// `find_all` and `present` must agree with the naive oracle.
+fn assert_matches_oracle(patterns: &[Vec<u8>], haystack: &[u8]) {
+    let ac = AhoCorasick::new(patterns);
+    let mut fast = ac.find_all(haystack);
+    let mut slow = naive_find_all(patterns, haystack);
+    // The automaton reports same-end matches in output-merge order;
+    // canonicalize both sides before comparing.
+    fast.sort_by_key(|m| (m.end, m.pattern));
+    slow.sort_by_key(|m| (m.end, m.pattern));
+    assert_eq!(fast, slow, "find_all diverged from the naive oracle");
+
+    let mut expected: Vec<u32> = slow.iter().map(|m| m.pattern).collect();
+    expected.sort_unstable();
+    expected.dedup();
+    assert_eq!(ac.present(haystack), expected, "present() diverged");
 }
 
 prop_test! {
@@ -280,19 +376,15 @@ prop_test! {
         // Constrain the haystack to the pattern alphabet so hits are
         // plentiful (arbitrary bytes would almost never match "abc"*).
         let haystack: Vec<u8> = haystack.iter().map(|b| b"abc"[(*b % 3) as usize]).collect();
-        let ac = AhoCorasick::new(&patterns);
-        let mut fast = ac.find_all(&haystack);
-        let mut slow = naive_find_all(&patterns, &haystack);
-        // The automaton reports same-end matches in output-merge order;
-        // canonicalize both sides before comparing.
-        fast.sort_by_key(|m| (m.end, m.pattern));
-        slow.sort_by_key(|m| (m.end, m.pattern));
-        assert_eq!(fast, slow, "find_all diverged from the naive oracle");
+        assert_matches_oracle(&patterns, &haystack);
+    }
 
-        let mut expected: Vec<u32> = slow.iter().map(|m| m.pattern).collect();
-        expected.sort_unstable();
-        expected.dedup();
-        assert_eq!(ac.present(&haystack), expected, "present() diverged");
+    fn aho_matches_naive_scan_on_long_shared_prefixes(case in shared_prefix_case()) {
+        assert_matches_oracle(&case.0, &case.1);
+    }
+
+    fn aho_matches_naive_scan_on_dictionary_shaped_sets(case in dictionary_case()) {
+        assert_matches_oracle(&case.0, &case.1);
     }
 
     // ------------------------------------------------------ codecs
@@ -350,7 +442,7 @@ prop_test! {
             "nothing sensitive here".to_string(),
         ] {
             assert_eq!(
-                cached.matcher.scan(&text),
+                cached.scan(&text),
                 fresh.scan(&text),
                 "cached matcher diverged from fresh build on {text:?}"
             );
