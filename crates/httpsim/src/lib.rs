@@ -22,8 +22,9 @@
 //!   fetched once per session rather than once per page
 //! * [`Request`] / [`Response`] message types with body/content-type
 //!   helpers
-//! * HTTP/1.1 wire (de)serialization including chunked transfer encoding
-//!   ([`wire`])
+//! * write-only HTTP/1.1 wire serialization with exact arithmetic wire
+//!   lengths and chunked transfer encoding ([`wire`]); nothing parses
+//!   messages back — detection works on the structured [`Request`]
 //! * deterministic response corruption for the fault-injection layer
 //!   ([`degrade`]): 5xx substitution, truncated bodies, malformed
 //!   chunked framing, and the [`degrade::is_partial`] detector the

@@ -33,18 +33,6 @@ impl Method {
             Method::Delete => "DELETE",
         }
     }
-
-    /// Parse a method token.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "GET" => Method::Get,
-            "POST" => Method::Post,
-            "PUT" => Method::Put,
-            "HEAD" => Method::Head,
-            "DELETE" => Method::Delete,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for Method {

@@ -1,33 +1,31 @@
-//! HTTP/1.1 wire (de)serialization.
+//! HTTP/1.1 wire serialization.
 //!
-//! The MITM proxy stores flows as the raw bytes it forwarded; the PII
-//! detectors then re-parse those bytes. Serializing and parsing real wire
-//! format (rather than passing structs around) keeps detection honest: a
-//! leak is only found if it survives the trip through actual HTTP syntax,
-//! exactly as in the mitmproxy-based original pipeline.
+//! Write-only. The MITM proxy charges each exchange its exact wire size
+//! ([`request_wire_len`], [`response_wire_len`], computed without
+//! serializing) in its `bytes=` journal events; the serializers produce
+//! those bytes for inspection and as the oracle the lengths must equal.
+//! Nothing parses wire bytes back. The proxy records structured
+//! [`Request`]s, and detection builds its text from them
+//! (`analysis::leaks::scan_text_of`), as mitmproxy hands its addons
+//! parsed flows. The one decoder kept is [`dechunk_body`]: the
+//! fault-injection layer ([`crate::degrade`]) uses it to judge whether a
+//! damaged chunked body still frames.
 
 use crate::headers::HeaderMap;
-use crate::message::{Body, Method, Request, Response, StatusCode, Version};
-use crate::url::{Scheme, Url};
+use crate::message::{Request, Response};
 
-/// Error from the wire parsers.
+/// Error from [`dechunk_body`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// The start line was malformed.
-    BadStartLine,
-    /// A header line was malformed.
-    BadHeader,
-    /// Body was shorter than `Content-Length`, or chunked framing broke.
+    /// A chunk was shorter than its declared size.
     Truncated,
-    /// A chunk size line failed to parse.
+    /// A chunk size line or chunk terminator failed to parse.
     BadChunk,
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::BadStartLine => f.write_str("malformed start line"),
-            WireError::BadHeader => f.write_str("malformed header"),
             WireError::Truncated => f.write_str("truncated body"),
             WireError::BadChunk => f.write_str("bad chunk framing"),
         }
@@ -212,21 +210,35 @@ fn push_hex(mut n: usize, out: &mut Vec<u8>) {
 pub fn dechunk_body(mut data: &[u8]) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(data.len());
     loop {
-        let line_end = find_crlf(data).ok_or(WireError::BadChunk)?;
-        let size_line = std::str::from_utf8(&data[..line_end]).map_err(|_| WireError::BadChunk)?;
-        let size_str = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_str, 16).map_err(|_| WireError::BadChunk)?;
+        let Some(line_end) = find_crlf(data) else {
+            appvsweb_cover::cover!();
+            return Err(WireError::BadChunk);
+        };
+        let size = std::str::from_utf8(&data[..line_end])
+            .ok()
+            .and_then(|line| {
+                let size_str = line.split(';').next().unwrap_or("").trim();
+                usize::from_str_radix(size_str, 16).ok()
+            });
+        let Some(size) = size else {
+            appvsweb_cover::cover!();
+            return Err(WireError::BadChunk);
+        };
         data = &data[line_end + 2..];
         if size == 0 {
+            appvsweb_cover::cover!();
             return Ok(out);
         }
-        if data.len() < size + 2 {
+        if data.len() < size.saturating_add(2) {
+            appvsweb_cover::cover!();
             return Err(WireError::Truncated);
         }
         out.extend_from_slice(&data[..size]);
         if &data[size..size + 2] != b"\r\n" {
+            appvsweb_cover::cover!();
             return Err(WireError::BadChunk);
         }
+        appvsweb_cover::cover!();
         data = &data[size + 2..];
     }
 }
@@ -235,244 +247,11 @@ fn find_crlf(data: &[u8]) -> Option<usize> {
     data.windows(2).position(|w| w == b"\r\n")
 }
 
-/// Borrowed view of a raw HTTP/1.1 message: start line, header
-/// name/value slices, and body bytes, all pointing into the input.
-/// Nothing is copied until the caller materializes owned structures
-/// (the MITM recording boundary) via [`MessageView::to_header_map`].
-#[derive(Debug)]
-pub struct MessageView<'a> {
-    /// The request or status line, without its CRLF.
-    pub start: &'a str,
-    /// Header `(name, value)` slices in wire order, values trimmed.
-    pub headers: Vec<(&'a str, &'a str)>,
-    /// Raw body bytes (still chunked/encoded as on the wire).
-    pub body: &'a [u8],
-}
-
-impl<'a> MessageView<'a> {
-    /// First header value matching `name`, case-insensitively.
-    pub fn header(&self, name: &str) -> Option<&'a str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|&(_, v)| v)
-    }
-
-    /// Materialize the borrowed headers into an owned [`HeaderMap`].
-    pub fn to_header_map(&self) -> HeaderMap {
-        let mut map = HeaderMap::new();
-        for &(n, v) in &self.headers {
-            map.append(n, v);
-        }
-        map
-    }
-}
-
-/// Split raw bytes into a zero-copy [`MessageView`].
-pub fn split_message_view(data: &[u8]) -> Result<MessageView<'_>, WireError> {
-    let header_end = data
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or(WireError::Truncated)?;
-    let head = std::str::from_utf8(&data[..header_end]).map_err(|_| WireError::BadHeader)?;
-    let body = &data[header_end + 4..];
-
-    let mut lines = head.split("\r\n");
-    let start = lines.next().ok_or(WireError::BadStartLine)?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once(':').ok_or(WireError::BadHeader)?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(WireError::BadHeader);
-        }
-        headers.push((name, value.trim()));
-    }
-    Ok(MessageView {
-        start,
-        headers,
-        body,
-    })
-}
-
-/// Parse request wire bytes. `secure` tells the parser which scheme the
-/// bytes travelled over (the request line carries only the origin-form
-/// target; the scheme is a property of the connection).
-pub fn parse_request(data: &[u8], secure: bool) -> Result<Request, WireError> {
-    let view = split_message_view(data)?;
-    let mut parts = view.start.split(' ');
-    let method = parts
-        .next()
-        .and_then(Method::parse)
-        .ok_or(WireError::BadStartLine)?;
-    let target = parts.next().ok_or(WireError::BadStartLine)?;
-    let version = parse_version(parts.next().ok_or(WireError::BadStartLine)?)?;
-
-    let host = view.header("Host").ok_or(WireError::BadStartLine)?;
-    let scheme = if secure { Scheme::Https } else { Scheme::Http };
-    let url = Url::parse(&format!("{}://{}{}", scheme.as_str(), host, target))
-        .map_err(|_| WireError::BadStartLine)?;
-
-    let body = read_body_view(&view)?;
-    Ok(Request {
-        method,
-        url,
-        version,
-        headers: view.to_header_map(),
-        body,
-    })
-}
-
-/// Parse response wire bytes.
-pub fn parse_response(data: &[u8]) -> Result<Response, WireError> {
-    let view = split_message_view(data)?;
-    let mut parts = view.start.splitn(3, ' ');
-    let version = parse_version(parts.next().ok_or(WireError::BadStartLine)?)?;
-    let code: u16 = parts
-        .next()
-        .and_then(|c| c.parse().ok())
-        .ok_or(WireError::BadStartLine)?;
-    let body = read_body_view(&view)?;
-    Ok(Response {
-        status: StatusCode(code),
-        version,
-        headers: view.to_header_map(),
-        body,
-    })
-}
-
-fn parse_version(s: &str) -> Result<Version, WireError> {
-    match s {
-        "HTTP/1.0" => Ok(Version::Http10),
-        "HTTP/1.1" => Ok(Version::Http11),
-        _ => Err(WireError::BadStartLine),
-    }
-}
-
-/// Decode the body of a zero-copy view (dechunking or slicing to
-/// `Content-Length`); this is the first point bytes are copied.
-fn read_body_view(view: &MessageView<'_>) -> Result<Body, WireError> {
-    let content_type = view.header("Content-Type").map(|s| s.to_string());
-    let bytes = if view
-        .header("Transfer-Encoding")
-        .is_some_and(|te| te.eq_ignore_ascii_case("chunked"))
-    {
-        dechunk_body(view.body)?
-    } else if let Some(cl) = view.header("Content-Length") {
-        let len: usize = cl.parse().map_err(|_| WireError::BadHeader)?;
-        if view.body.len() < len {
-            return Err(WireError::Truncated);
-        }
-        view.body[..len].to_vec()
-    } else {
-        view.body.to_vec()
-    };
-    Ok(Body {
-        bytes,
-        content_type,
-    })
-}
-
-/// Eager-copy reference parsers, retained as differential oracles for
-/// the zero-copy paths (`tests/fastpath_differential.rs`). These are
-/// the pre-optimization implementations, kept verbatim.
+/// Pre-optimization serializer, retained as the differential oracle for
+/// the in-place chunk framing (`tests/fastpath_differential.rs`).
 #[cfg(any(test, feature = "reference"))]
 pub mod reference {
     use super::*;
-
-    /// Reference twin of [`parse_request`] built on the eager splitter.
-    pub fn parse_request_reference(data: &[u8], secure: bool) -> Result<Request, WireError> {
-        let (start, headers, body_bytes) = split_message(data)?;
-        let mut parts = start.split(' ');
-        let method = parts
-            .next()
-            .and_then(Method::parse)
-            .ok_or(WireError::BadStartLine)?;
-        let target = parts.next().ok_or(WireError::BadStartLine)?;
-        let version = parse_version(parts.next().ok_or(WireError::BadStartLine)?)?;
-
-        let host = headers.get("Host").ok_or(WireError::BadStartLine)?;
-        let scheme = if secure { Scheme::Https } else { Scheme::Http };
-        let url = Url::parse(&format!("{}://{}{}", scheme.as_str(), host, target))
-            .map_err(|_| WireError::BadStartLine)?;
-
-        let body = read_body(&headers, body_bytes)?;
-        Ok(Request {
-            method,
-            url,
-            version,
-            headers,
-            body,
-        })
-    }
-
-    /// Reference twin of [`parse_response`].
-    pub fn parse_response_reference(data: &[u8]) -> Result<Response, WireError> {
-        let (start, headers, body_bytes) = split_message(data)?;
-        let mut parts = start.splitn(3, ' ');
-        let version = parse_version(parts.next().ok_or(WireError::BadStartLine)?)?;
-        let code: u16 = parts
-            .next()
-            .and_then(|c| c.parse().ok())
-            .ok_or(WireError::BadStartLine)?;
-        let body = read_body(&headers, body_bytes)?;
-        Ok(Response {
-            status: StatusCode(code),
-            version,
-            headers,
-            body,
-        })
-    }
-
-    /// Eagerly split raw bytes into (start line, headers, body bytes),
-    /// copying the head into owned strings.
-    fn split_message(data: &[u8]) -> Result<(String, HeaderMap, &[u8]), WireError> {
-        let header_end = data
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .ok_or(WireError::Truncated)?;
-        let head = std::str::from_utf8(&data[..header_end]).map_err(|_| WireError::BadHeader)?;
-        let body = &data[header_end + 4..];
-
-        let mut lines = head.split("\r\n");
-        let start = lines.next().ok_or(WireError::BadStartLine)?.to_string();
-        let mut headers = HeaderMap::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line.split_once(':').ok_or(WireError::BadHeader)?;
-            if name.is_empty() || name.contains(' ') {
-                return Err(WireError::BadHeader);
-            }
-            headers.append(name, value.trim());
-        }
-        Ok((start, headers, body))
-    }
-
-    fn read_body(headers: &HeaderMap, body_bytes: &[u8]) -> Result<Body, WireError> {
-        let content_type = headers.get("Content-Type").map(|s| s.to_string());
-        let bytes = if headers
-            .get("Transfer-Encoding")
-            .is_some_and(|te| te.eq_ignore_ascii_case("chunked"))
-        {
-            dechunk_body(body_bytes)?
-        } else if let Some(cl) = headers.get("Content-Length") {
-            let len: usize = cl.parse().map_err(|_| WireError::BadHeader)?;
-            if body_bytes.len() < len {
-                return Err(WireError::Truncated);
-            }
-            body_bytes[..len].to_vec()
-        } else {
-            body_bytes.to_vec()
-        };
-        Ok(Body {
-            bytes,
-            content_type,
-        })
-    }
 
     /// Reference twin of [`serialize_response`]: builds the chunk
     /// framing through an intermediate buffer exactly as the
@@ -510,51 +289,64 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Body, Request, Response};
+    use crate::message::{Body, Request, Response, StatusCode};
     use crate::url::Url;
 
     fn url(s: &str) -> Url {
         Url::parse(s).unwrap()
     }
 
+    /// Split serialized bytes at the blank line ending the head.
+    fn split_head(bytes: &[u8]) -> (&str, &[u8]) {
+        let end = bytes
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("head terminator");
+        (
+            std::str::from_utf8(&bytes[..end]).unwrap(),
+            &bytes[end + 4..],
+        )
+    }
+
     #[test]
-    fn request_roundtrip() {
+    fn request_serializes_origin_form() {
         let req = Request::post(
             url("https://api.example.com/v1/login?src=app"),
             Body::form(&[("user", "jane"), ("password", "s3cret!")]),
         )
         .with_user_agent("ExampleApp/3.2 (Android 4.4)");
         let bytes = serialize_request(&req);
-        let parsed = parse_request(&bytes, true).unwrap();
-        assert_eq!(parsed.method, req.method);
-        assert_eq!(parsed.url, req.url);
-        assert_eq!(parsed.body.bytes, req.body.bytes);
-        assert_eq!(
-            parsed.headers.get("User-Agent"),
-            Some("ExampleApp/3.2 (Android 4.4)")
-        );
+        let (head, body) = split_head(&bytes);
+        let mut lines = head.split("\r\n");
+        assert_eq!(lines.next(), Some("POST /v1/login?src=app HTTP/1.1"));
+        let lines: Vec<&str> = lines.collect();
+        assert!(lines.contains(&"Host: api.example.com"));
+        assert!(lines.contains(&"User-Agent: ExampleApp/3.2 (Android 4.4)"));
+        assert_eq!(body, &req.body.bytes[..]);
     }
 
     #[test]
-    fn response_roundtrip_plain() {
+    fn response_serializes_plain_body_verbatim() {
         let mut resp = Response::ok(Body::json(r#"{"ok":true}"#));
         resp.headers.set("Server", "nginx");
         let bytes = serialize_response(&resp);
-        let parsed = parse_response(&bytes).unwrap();
-        assert_eq!(parsed.status, StatusCode::OK);
-        assert_eq!(parsed.body.bytes, resp.body.bytes);
+        let (head, body) = split_head(&bytes);
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(head.contains("\r\nServer: nginx"));
+        assert_eq!(body, &resp.body.bytes[..]);
     }
 
     #[test]
-    fn response_roundtrip_chunked() {
+    fn response_serializes_chunked_body_framed() {
         let payload = vec![b'x'; 5000];
         let mut resp = Response::new(StatusCode::OK);
         resp.body = Body::binary(payload.clone(), "application/octet-stream");
         resp.headers.set("Content-Type", "application/octet-stream");
         resp.headers.set("Transfer-Encoding", "chunked");
         let bytes = serialize_response(&resp);
-        let parsed = parse_response(&bytes).unwrap();
-        assert_eq!(parsed.body.bytes, payload);
+        let (_, body) = split_head(&bytes);
+        assert_eq!(body, &chunk_body(&payload, CHUNK_SIZE)[..]);
+        assert_eq!(dechunk_body(body).unwrap(), payload);
     }
 
     #[test]
@@ -575,31 +367,32 @@ mod tests {
         );
         assert_eq!(dechunk_body(b"5\r\nab"), Err(WireError::Truncated));
         assert_eq!(dechunk_body(b"nothing here"), Err(WireError::BadChunk));
+        assert_eq!(
+            dechunk_body(b"3\r\nabcXY0\r\n\r\n"),
+            Err(WireError::BadChunk),
+            "chunk data must end in CRLF"
+        );
     }
 
     #[test]
-    fn parse_request_requires_host() {
-        let raw = b"GET /x HTTP/1.1\r\n\r\n";
-        assert!(parse_request(raw, false).is_err());
+    fn dechunk_accepts_extensions_and_stops_at_terminator() {
+        assert_eq!(
+            dechunk_body(b"3;name=v\r\nabc\r\n0\r\n\r\ntrailing junk").unwrap(),
+            b"abc"
+        );
     }
 
     #[test]
-    fn parse_scheme_follows_connection_security() {
-        let raw = b"GET /p HTTP/1.1\r\nHost: example.com\r\n\r\n";
-        assert!(!parse_request(raw, true).unwrap().url.is_plaintext());
-        assert!(parse_request(raw, false).unwrap().url.is_plaintext());
-    }
-
-    #[test]
-    fn truncated_content_length_detected() {
-        let raw = b"POST /p HTTP/1.1\r\nHost: a.com\r\nContent-Length: 10\r\n\r\nshort";
-        assert_eq!(parse_request(raw, false), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn bad_header_line_detected() {
-        let raw = b"GET / HTTP/1.1\r\nHost: a.com\r\nBadHeaderNoColon\r\n\r\n";
-        assert_eq!(parse_request(raw, false), Err(WireError::BadHeader));
+    fn dechunk_rejects_sizes_near_usize_max() {
+        // `size + 2` must not overflow on a hostile size line.
+        assert_eq!(
+            dechunk_body(b"ffffffffffffffff\r\nab\r\n"),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(
+            dechunk_body(b"fffffffffffffffe\r\nab\r\n"),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]
@@ -650,36 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_parse_matches_reference() {
-        let good: &[&[u8]] = &[
-            b"GET /p?x=1 HTTP/1.1\r\nHost: example.com\r\nCookie: sid=42\r\n\r\n",
-            b"POST /l HTTP/1.1\r\nHost: a.com\r\nContent-Length: 5\r\n\r\nhello",
-        ];
-        let bad: &[&[u8]] = &[
-            b"GET /x HTTP/1.1\r\n\r\n",
-            b"GET / HTTP/1.1\r\nHost: a.com\r\nNoColon\r\n\r\n",
-            b"truncated head",
-        ];
-        for raw in good.iter().chain(bad) {
-            for secure in [false, true] {
-                assert_eq!(
-                    parse_request(raw, secure),
-                    reference::parse_request_reference(raw, secure)
-                );
-            }
-            assert_eq!(
-                parse_response(raw),
-                reference::parse_response_reference(raw)
-            );
-        }
-        let resp = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
-        assert_eq!(
-            parse_response(resp),
-            reference::parse_response_reference(resp)
-        );
-    }
-
-    #[test]
     fn serialize_response_matches_reference() {
         let mut resp = Response::ok(Body::json(r#"{"ok":true}"#));
         resp.headers.set("Server", "nginx");
@@ -703,17 +466,5 @@ mod tests {
         serialize_request_into(&req, &mut buf);
         assert!(buf.starts_with(b"prefix"));
         assert_eq!(buf.len(), 6 + request_wire_len(&req));
-    }
-
-    #[test]
-    fn message_view_borrows_and_materializes() {
-        let raw = b"GET /v HTTP/1.1\r\nHost: h.com\r\nX-A: 1\r\nX-A: 2\r\n\r\nbody";
-        let view = split_message_view(raw).unwrap();
-        assert_eq!(view.start, "GET /v HTTP/1.1");
-        assert_eq!(view.header("host"), Some("h.com"));
-        assert_eq!(view.header("x-a"), Some("1"), "first value wins");
-        assert_eq!(view.body, b"body");
-        let map = view.to_header_map();
-        assert_eq!(map.get_all("X-A").collect::<Vec<_>>(), vec!["1", "2"]);
     }
 }

@@ -100,9 +100,10 @@ pub struct HttpTransaction {
 }
 
 impl HttpTransaction {
-    /// Raw wire bytes of the request — what the PII detectors scan.
-    /// The flow record is the materialization boundary: bytes become
-    /// owned here, sized exactly via the arithmetic wire length.
+    /// Raw wire bytes of the request, as forwarded, sized exactly via
+    /// the arithmetic wire length. For inspection only: the detectors
+    /// scan text built from the structured [`Self::request`]
+    /// (`analysis::leaks::scan_text_of`), which inflates gzip bodies.
     pub fn request_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.request.wire_len());
         appvsweb_httpsim::wire::serialize_request_into(&self.request, &mut buf);

@@ -271,6 +271,16 @@ pub fn route<S: WalSink>(server: &mut Server<S>, req: &Request) -> (u16, String)
     }
 }
 
+/// Whether `bytes` may still grow into a complete request: the head is
+/// unterminated or the body is short of its `Content-Length`. A socket
+/// reader keeps reading while this holds.
+pub fn needs_more(bytes: &[u8]) -> bool {
+    matches!(
+        parse_request(bytes),
+        Err(HttpError::Incomplete | HttpError::ShortBody)
+    )
+}
+
 /// Handle one raw request buffer end-to-end: parse, route, render.
 pub fn handle<S: WalSink>(server: &mut Server<S>, bytes: &[u8]) -> String {
     match parse_request(bytes) {
@@ -285,6 +295,18 @@ pub fn handle<S: WalSink>(server: &mut Server<S>, bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn needs_more_until_head_and_body_arrive() {
+        assert!(needs_more(b"POST /submit HTTP/1.1\r\ncontent-le"));
+        assert!(needs_more(
+            b"POST /submit HTTP/1.1\r\ncontent-length: 2\r\n\r\n{"
+        ));
+        assert!(!needs_more(
+            b"POST /submit HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}"
+        ));
+        assert!(!needs_more(b"BROKEN\r\n\r\n"), "a bad head is final");
+    }
 
     #[test]
     fn parses_a_simple_post() {

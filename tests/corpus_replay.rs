@@ -63,7 +63,8 @@ fn regression_pins_are_committed() {
     // hot-path differential pins (a DEFLATE stream whose back-reference
     // reaches before the stream start — it must never read a pooled
     // buffer's earlier bytes — the chunk-framing boundary family for
-    // the arithmetic wire lengths, and the adblock pre-filter's
+    // the arithmetic wire lengths plus a chunk size line whose `size +
+    // 2` overflowed the decoder, and the adblock pre-filter's
     // short-token and caret-separator fallbacks).
     for (target, pin) in [
         ("httpsim_gzip", "regress-trailer-truncated.bin"),
@@ -72,7 +73,7 @@ fn regression_pins_are_committed() {
         ("httpsim_wire", "regress-chunk-boundary-1024.bin"),
         ("httpsim_wire", "regress-chunk-remainder-1025.bin"),
         ("httpsim_wire", "regress-chunk-torn-trailer.bin"),
-        ("httpsim_wire", "regress-header-no-colon.bin"),
+        ("httpsim_wire", "regress-chunk-size-overflow.bin"),
         ("adblock_filter", "regress-prefilter-short-token.bin"),
         ("adblock_filter", "regress-prefilter-caret-separator.bin"),
         ("netsim_dns", "regress-negative-cache-timeout.bin"),
