@@ -72,17 +72,25 @@ fn bump(buckets: &mut Vec<(i32, u64)>, index: i32, n: u64) {
 
 /// Merge two bucket vectors into canonical sorted-unique form.
 ///
-/// Goes through a `BTreeMap` so even hostile states (unsorted or
-/// duplicated indices, as a fuzzer-decoded sketch may carry) merge
-/// totally and symmetrically: saturating addition of non-negative
-/// counts is order-independent.
+/// A stable sort of the concatenation, then one pass summing equal
+/// indices. Canonical inputs are two sorted runs, which the sort merges
+/// in linear time; hostile states (unsorted or duplicated indices, as a
+/// fuzzer-decoded sketch may carry) still merge totally and
+/// symmetrically, because saturating addition of non-negative counts is
+/// order-independent.
 fn merge_buckets(a: &[(i32, u64)], b: &[(i32, u64)]) -> Vec<(i32, u64)> {
-    let mut merged: BTreeMap<i32, u64> = BTreeMap::new();
-    for &(i, n) in a.iter().chain(b) {
-        let slot = merged.entry(i).or_insert(0);
-        *slot = slot.saturating_add(n);
+    let mut all = Vec::with_capacity(a.len() + b.len());
+    all.extend_from_slice(a);
+    all.extend_from_slice(b);
+    all.sort_by_key(|&(i, _)| i);
+    let mut merged: Vec<(i32, u64)> = Vec::with_capacity(all.len());
+    for (i, n) in all {
+        match merged.last_mut() {
+            Some(last) if last.0 == i => last.1 = last.1.saturating_add(n),
+            _ => merged.push((i, n)),
+        }
     }
-    merged.into_iter().collect()
+    merged
 }
 
 fn bucket_sum(buckets: &[(i32, u64)]) -> u64 {
@@ -263,6 +271,40 @@ impl TopKSketch {
             capacity,
             ..Self::default()
         }
+    }
+
+    /// A sketch of per-key totals counted elsewhere: zero totals are
+    /// skipped, entries take canonical key order (a repeated key sums),
+    /// and one eviction pass brings the sketch within `capacity`.
+    /// While the keys fit, this equals [`add`](Self::add)ing every
+    /// total; past the bound it evicts once, over the totals, where
+    /// `add` would evict along the way.
+    pub fn from_counts<'a>(
+        capacity: u32,
+        counts: impl IntoIterator<Item = (&'a str, u64)>,
+    ) -> Self {
+        let mut merged: BTreeMap<&str, u64> = BTreeMap::new();
+        for (key, n) in counts {
+            if n > 0 {
+                let slot = merged.entry(key).or_insert(0);
+                *slot = slot.saturating_add(n);
+            }
+        }
+        let mut sketch = TopKSketch {
+            capacity,
+            entries: merged
+                .into_iter()
+                .map(|(key, count)| TopKEntry {
+                    key: key.to_string(),
+                    count,
+                    err: 0,
+                })
+                .collect(),
+            dropped: 0,
+            evictions: 0,
+        };
+        sketch.shrink_to_capacity();
+        sketch
     }
 
     /// Ingest `n` occurrences of `key`.
@@ -512,6 +554,26 @@ mod tests {
     }
 
     #[test]
+    fn hostile_bucket_vectors_merge_into_canonical_form() {
+        // Unsorted, duplicated and saturating buckets, as a decoded
+        // state may carry: the merge sums equal indices in index order.
+        let a = QuantileSketch {
+            pos: vec![(5, 1), (-2, 3), (5, u64::MAX)],
+            ..QuantileSketch::default()
+        };
+        let b = QuantileSketch {
+            pos: vec![(0, 2), (-2, 1)],
+            ..QuantileSketch::default()
+        };
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab.pos, vec![(-2, 4), (0, 2), (5, u64::MAX)]);
+        assert_eq!(ab, ba);
+    }
+
+    #[test]
     fn empty_sketch_is_total() {
         let s = QuantileSketch::new();
         assert!(s.is_empty());
@@ -577,6 +639,24 @@ mod tests {
             appvsweb_json::encode(&sequential)
         );
         assert!(merged.is_exact());
+    }
+
+    #[test]
+    fn from_counts_matches_adds_below_capacity_and_evicts_once_above() {
+        let counts = [("b", 3u64), ("a", 5), ("z", 0), ("b", 1), ("c", 2)];
+        let mut added = TopKSketch::with_capacity(8);
+        for (key, n) in counts {
+            added.add(key, n);
+        }
+        assert_eq!(TopKSketch::from_counts(8, counts), added);
+        let bounded = TopKSketch::from_counts(2, counts);
+        let kept: Vec<(&str, u64)> = bounded
+            .entries
+            .iter()
+            .map(|e| (e.key.as_str(), e.count))
+            .collect();
+        assert_eq!(kept, vec![("a", 5), ("b", 4)]);
+        assert_eq!((bounded.evictions, bounded.dropped), (1, 2));
     }
 
     #[test]

@@ -50,3 +50,40 @@ pub fn committed_median_ns(path: &std::path::Path, name: &str) -> Option<f64> {
         .field::<f64>("median_ns")
         .ok()
 }
+
+/// The `BENCH_GATE=1` perf-regression gate shared by the gated benches.
+///
+/// `baseline` is the committed median of `name`, read *before* the run
+/// overwrites the artifact; `fresh` is this run's median. With
+/// `BENCH_GATE` unset the gate is off. Returns `false` (and says why on
+/// stderr) when the fresh median is more than 25% over the baseline; a
+/// missing baseline passes, so a fresh checkout never trips it.
+pub fn bench_gate(name: &str, baseline: Option<f64>, fresh: Option<f64>) -> bool {
+    if std::env::var_os("BENCH_GATE").is_none() {
+        return true;
+    }
+    match (baseline, fresh) {
+        (Some(base), Some(now)) if now > base * 1.25 => {
+            eprintln!(
+                "BENCH GATE: {name} median regressed {:.1}% \
+                 ({:.1}ms -> {:.1}ms, threshold 25%)",
+                (now / base - 1.0) * 100.0,
+                base / 1e6,
+                now / 1e6,
+            );
+            false
+        }
+        (Some(base), Some(now)) => {
+            eprintln!(
+                "BENCH GATE: {name} median {:.1}ms vs committed {:.1}ms — ok",
+                now / 1e6,
+                base / 1e6,
+            );
+            true
+        }
+        _ => {
+            eprintln!("BENCH GATE: no committed baseline for {name}; skipping");
+            true
+        }
+    }
+}

@@ -21,6 +21,23 @@ struct Args {
     json: Option<String>,
 }
 
+/// Parse the value of a numeric flag: a decimal integer that fits `T`.
+/// Anything else (a missing value, `1e6`, `-3`, a count past `T`'s
+/// range) is a usage error, never a silent default or a truncation.
+fn number<T: TryFrom<u64>>(flag: &str, value: Option<&String>) -> Result<T, i32> {
+    let parsed = value.and_then(|v| v.parse::<u64>().ok());
+    match parsed.and_then(|n| T::try_from(n).ok()) {
+        Some(n) => Ok(n),
+        None => {
+            eprintln!(
+                "repro population: {flag} needs an integer in range, got {}",
+                value.map_or("nothing".to_string(), |v| format!("{v:?}"))
+            );
+            Err(2)
+        }
+    }
+}
+
 fn parse_args(args: &[String]) -> Result<Args, i32> {
     let mut parsed = Args {
         cfg: CampaignConfig::default(),
@@ -30,16 +47,20 @@ fn parse_args(args: &[String]) -> Result<Args, i32> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut num =
-            |default: u64| -> u64 { it.next().and_then(|v| v.parse().ok()).unwrap_or(default) };
         match arg.as_str() {
-            "--users" => parsed.cfg.users = num(10_000),
-            "--shards" => parsed.cfg.shards = num(64) as u32,
-            "--workers" => parsed.cfg.workers = num(1) as usize,
-            "--seed" => parsed.cfg.seed = num(2016),
-            "--minutes" => parsed.minutes = num(4),
+            "--users" => parsed.cfg.users = number(arg, it.next())?,
+            "--shards" => parsed.cfg.shards = number(arg, it.next())?,
+            "--workers" => parsed.cfg.workers = number(arg, it.next())?,
+            "--seed" => parsed.cfg.seed = number(arg, it.next())?,
+            "--minutes" => parsed.minutes = number(arg, it.next())?,
             "--smoke" => parsed.smoke = true,
-            "--json" => parsed.json = it.next().cloned(),
+            "--json" => match it.next() {
+                Some(path) => parsed.json = Some(path.clone()),
+                None => {
+                    eprintln!("repro population: --json needs a file path");
+                    return Err(2);
+                }
+            },
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro population [--users N] [--shards N] [--workers N] \
@@ -144,5 +165,66 @@ fn smoke() -> i32 {
             one.aggregate.users, one.aggregate.sessions
         );
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, i32> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn numeric_flags_parse() {
+        let Ok(args) = parse(&[
+            "--users",
+            "1000000",
+            "--shards",
+            "4294967295",
+            "--workers",
+            "3",
+            "--seed",
+            "7",
+            "--minutes",
+            "1",
+        ]) else {
+            panic!("valid flags must parse");
+        };
+        assert_eq!(args.cfg.users, 1_000_000);
+        assert_eq!(args.cfg.shards, u32::MAX);
+        assert_eq!(args.cfg.workers, 3);
+        assert_eq!(args.cfg.seed, 7);
+        assert_eq!(args.minutes, 1);
+    }
+
+    #[test]
+    fn missing_or_unparsable_values_are_usage_errors() {
+        for bad in [
+            &["--users", "1e6"][..],
+            &["--users", "-5"],
+            &["--users"],
+            &["--seed", "x"],
+            &["--minutes", "1.5"],
+            &["--workers", ""],
+            &["--json"],
+        ] {
+            assert_eq!(parse(bad).err(), Some(2), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn shard_counts_past_u32_are_rejected_not_truncated() {
+        // 2^32 + 64 would truncate to 64 with `as u32`.
+        assert_eq!(parse(&["--shards", "4294967360"]).err(), Some(2));
+        assert_eq!(parse(&["--shards", "4294967296"]).err(), Some(2));
+    }
+
+    #[test]
+    fn unknown_flags_and_help_keep_their_codes() {
+        assert_eq!(parse(&["--bogus"]).err(), Some(2));
+        assert_eq!(parse(&["--help"]).err(), Some(0));
     }
 }

@@ -60,7 +60,7 @@ pub struct PanicSite {
 
 impl_json!(struct PanicSite { kind, line, allowed });
 
-/// One `.fork(...)` site inside a function body.
+/// One `.fork(...)` or `.fork_prefix(...)` site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForkSite {
     /// The `rng_labels` item the label comes from (`WORLD`,
@@ -625,7 +625,9 @@ impl Parser<'_> {
                 "expect" if sig.text(i + 2).starts_with('"') => {
                     self.push_panic(fn_idx, "expect", line);
                 }
-                "fork" => {
+                // A prefix fork opens a family of streams under one
+                // label prefix: the same scope discipline applies.
+                "fork" | "fork_prefix" => {
                     self.push_fork(fn_idx, i);
                 }
                 _ => {}
@@ -888,6 +890,7 @@ mod tests {
                let z = v[0];\n\
                let r = rng.fork(rng_labels::WORLD);\n\
                let s = rng.fork(\"lit\");\n\
+               let p = rng.fork_prefix(rng_labels::population_user_prefix(7));\n\
                let c = std::panic::catch_unwind(|| 1);\n\
                a::b::g(1);\n\
              }",
@@ -895,9 +898,10 @@ mod tests {
         let f = &t.fns[0];
         let kinds: Vec<&str> = f.panics.iter().map(|p| p.kind.as_str()).collect();
         assert_eq!(kinds, ["unwrap", "expect", "panic", "index"]);
-        assert_eq!(f.forks.len(), 2);
+        assert_eq!(f.forks.len(), 3);
         assert_eq!(f.forks[0].label_item, "WORLD");
         assert_eq!(f.forks[1].literal, "lit");
+        assert_eq!(f.forks[2].label_item, "population_user_prefix");
         assert!(f.catches_unwind);
         assert!(f.calls.iter().any(|c| c.target == "a::b::g" && !c.method));
     }

@@ -156,10 +156,11 @@ fn rule_d2_hash_iteration(ctx: &FileCtx<'_>, sink: &mut FileSink) {
 
 // ---------------------------------------------------------------- D3 --
 
-/// D3: every `SimRng::fork` label is either a string literal or built in
-/// the `rng_labels` module, so the workspace label table is closed and
-/// reviewable. Literal labels are collected into the table here;
-/// uniqueness is resolved across files by [`check_label_uniqueness`].
+/// D3: every `SimRng::fork` label (and `SimRng::fork_prefix` prefix) is
+/// either a string literal or built in the `rng_labels` module, so the
+/// workspace label table is closed and reviewable. Literal labels are
+/// collected into the table here; uniqueness is resolved across files
+/// by [`check_label_uniqueness`].
 fn rule_d3_fork_labels(ctx: &FileCtx<'_>, sink: &mut FileSink) {
     let sig = &ctx.sig;
     // Constants in the rng_labels module define the canonical table.
@@ -182,7 +183,8 @@ fn rule_d3_fork_labels(ctx: &FileCtx<'_>, sink: &mut FileSink) {
         return;
     }
     for i in 0..sig.len() {
-        if !(sig.text(i) == "." && sig.text(i + 1) == "fork" && sig.text(i + 2) == "(") {
+        let is_fork = matches!(sig.text(i + 1), "fork" | "fork_prefix");
+        if !(sig.text(i) == "." && is_fork && sig.text(i + 2) == "(") {
             continue;
         }
         if !rule_applies("D3", ctx.class) || ctx.in_test_region(sig.line(i)) {

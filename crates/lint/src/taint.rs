@@ -514,7 +514,9 @@ mod tests {
             ),
             (
                 "crates/b/src/lib.rs",
-                "pub fn g(r: &mut SimRng) { r.fork(rng_labels::WORLD); }",
+                "pub fn g(r: &mut SimRng) { r.fork(rng_labels::WORLD); }\n\
+                 pub fn h(r: &SimRng) { r.fork_prefix(rng_labels::population_user_prefix(1)); }\n\
+                 pub fn k(r: &SimRng) { r.fork_prefix(rng_labels::population_user_prefix(2)); }",
             ),
             (
                 "crates/netsim/src/faults.rs",
@@ -522,8 +524,11 @@ mod tests {
             ),
         ]);
         let d3x: Vec<&Finding> = findings.iter().filter(|f| f.rule == "D3x").collect();
-        assert_eq!(d3x.len(), 2, "{findings:?}");
+        assert_eq!(d3x.len(), 3, "{findings:?}");
         assert!(d3x.iter().any(|f| f.message.contains("WORLD")));
+        assert!(d3x
+            .iter()
+            .any(|f| f.message.contains("population_user_prefix")));
         assert!(d3x.iter().any(|f| f.message.contains("Holder")));
         assert!(!d3x.iter().any(|f| f.message.contains("Injector")));
     }

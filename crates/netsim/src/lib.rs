@@ -55,5 +55,5 @@ pub use event::EventQueue;
 pub use faults::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 pub use link::Link;
 pub use pool::{PoolStats, PooledBuf};
-pub use rng::SimRng;
+pub use rng::{ForkPrefix, SimRng};
 pub use tcp::{Connection, ConnectionStats, Endpoint};

@@ -8,6 +8,9 @@
 //! is what keeps calibrated experiment outputs stable as the codebase
 //! evolves.
 
+/// Mixed into the parent state before a fork label is hashed.
+const FORK_MIX: u64 = 0x632b_e59b_d9b4_e019;
+
 /// A SplitMix64 pseudo-random generator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimRng {
@@ -80,13 +83,24 @@ impl SimRng {
     /// parent with different labels are statistically independent; the
     /// same `(parent_seed, label)` pair always yields the same stream.
     pub fn fork(&self, label: &str) -> SimRng {
-        let mut h = self.state ^ 0x632b_e59b_d9b4_e019;
-        for &b in label.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            h = h.rotate_left(23);
+        ForkPrefix {
+            hash: self.state ^ FORK_MIX,
         }
-        SimRng::new(h)
+        .fork_suffix(label)
+    }
+
+    /// Hash the first part of a fork label once, for a family of
+    /// streams whose labels share it: `fork_prefix(p).fork_suffix(s)`
+    /// is the stream `fork(&format!("{p}{s}"))`, bit for bit, without
+    /// building the label. The prefix is formatted straight into the
+    /// hash, so it allocates nothing either.
+    pub fn fork_prefix(&self, prefix: impl std::fmt::Display) -> ForkPrefix {
+        let mut fork = ForkPrefix {
+            hash: self.state ^ FORK_MIX,
+        };
+        // Writing into the hash cannot fail.
+        let _ = std::fmt::Write::write_fmt(&mut Absorb(&mut fork.hash), format_args!("{prefix}"));
+        fork
     }
 
     /// Fill `out` with consecutive raw draws — the batched equivalent
@@ -119,6 +133,40 @@ impl SimRng {
         // Sum of 8 U(0,1) has mean 4, variance 8/12.
         let z = (sum - 4.0) / (8.0f64 / 12.0).sqrt();
         mean + z * std_dev
+    }
+}
+
+/// A fork label's prefix, already hashed (see [`SimRng::fork_prefix`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ForkPrefix {
+    hash: u64,
+}
+
+impl ForkPrefix {
+    /// The stream labelled by this prefix followed by `suffix`.
+    pub fn fork_suffix(&self, suffix: &str) -> SimRng {
+        let mut hash = self.hash;
+        absorb(&mut hash, suffix.as_bytes());
+        SimRng::new(hash)
+    }
+}
+
+/// Fold label bytes into a fork hash.
+fn absorb(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= b as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        *hash = hash.rotate_left(23);
+    }
+}
+
+/// A `fmt::Write` sink that hashes what is written instead of storing it.
+struct Absorb<'a>(&'a mut u64);
+
+impl std::fmt::Write for Absorb<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        absorb(self.0, s.as_bytes());
+        Ok(())
     }
 }
 
@@ -171,6 +219,20 @@ mod tests {
         // Different labels diverge immediately (overwhelmingly likely).
         let mut dns3 = root.fork("dns");
         assert_ne!(dns3.next_u64(), svc.next_u64());
+    }
+
+    #[test]
+    fn prefix_forks_equal_whole_label_forks() {
+        let root = SimRng::new(2016);
+        for (prefix, suffix) in [("", ""), ("population:7:", "profile"), ("a", ""), ("", "b")] {
+            let mut whole = root.fork(&format!("{prefix}{suffix}"));
+            let mut split = root.fork_prefix(prefix).fork_suffix(suffix);
+            assert_eq!(
+                whole.next_u64(),
+                split.next_u64(),
+                "{prefix:?} + {suffix:?}"
+            );
+        }
     }
 
     #[test]

@@ -95,7 +95,27 @@ pub fn device_ids(os: impl Display) -> String {
 /// for the profile draw, `"svc/Os/Medium"` for per-cell usage), so
 /// shard boundaries and worker counts can never re-key a user.
 pub fn population_user(user_id: u64, cell: &str) -> String {
-    format!("{POPULATION_PREFIX}:{user_id}:{cell}")
+    format!("{}{cell}", population_user_prefix(user_id))
+}
+
+/// The user part of every [`population_user`] label:
+/// `population_user(u, cell)` is this prefix followed by `cell`. A
+/// user's streams fork from it once with
+/// [`SimRng::fork_prefix`](crate::SimRng::fork_prefix), then per cell
+/// with [`ForkPrefix::fork_suffix`](crate::ForkPrefix::fork_suffix).
+pub fn population_user_prefix(user_id: u64) -> PopulationUserPrefix {
+    PopulationUserPrefix(user_id)
+}
+
+/// The label prefix [`population_user_prefix`] returns; it formats as
+/// `population:<user_id>:` without allocating.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PopulationUserPrefix(u64);
+
+impl Display for PopulationUserPrefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{POPULATION_PREFIX}:{}:", self.0)
+    }
 }
 
 /// The per-job retry-jitter stream of the resident service's

@@ -1,27 +1,44 @@
-//! The population campaign: sharded ingestion plus the fixed pairwise
-//! reduction tree.
+//! The population campaign: a compiled cell table, sharded ingestion
+//! into dense counters, and the fixed pairwise reduction tree.
 //!
-//! The pipeline is three stages, all deterministic in
+//! The pipeline is four stages, all deterministic in
 //! `(study, users, shards, seed)`:
 //!
-//! 1. **Shard** — users `0..N` are split into a *fixed* number of
+//! 1. **Compile** — the study is interned once into a [`CellTable`]:
+//!    one row per (OS, universe rank index, medium) holding the cell's
+//!    counters, its `(PII type, count)` pairs and type bitmask, its
+//!    leaking organizations as interned ids, and its A&A and leak
+//!    domains as bitsets. No string is touched after this stage.
+//! 2. **Shard** — users `0..N` are split into a *fixed* number of
 //!    contiguous shards (independent of worker count), and the
 //!    work-stealing executor ([`appvsweb_core::exec`]) races workers
-//!    over shards. Each shard streams its users into one
-//!    [`PopulationAggregate`]; per-user scratch dies with the user, so
-//!    peak memory is `shards × |aggregate|`, independent of `N`.
-//! 2. **Reduce** — shard states fold pairwise in a fixed binary tree
+//!    over shards. Each shard streams its users into dense
+//!    accumulators (4 cohorts, 10 PII types, one slot per organization,
+//!    2 × 6 figure sketches): per user only integer adds, bitset ORs
+//!    and popcounts. At the end of the shard the accumulators convert
+//!    once into the canonical [`PopulationAggregate`], so peak memory
+//!    is `shards × |aggregate|`, independent of `N`.
+//! 3. **Reduce** — shard states move pairwise into a fixed binary tree
 //!    over shard order: level after level, state `2k` absorbs state
 //!    `2k+1`. The pairing is data-independent, and every aggregate's
 //!    `merge` is the stream-concatenation homomorphism the law suite
 //!    property-tests — so 1, 2, or 8 workers produce byte-identical
 //!    reports.
-//! 3. **Report** — the reduced state plus config echo and the peak
+//! 4. **Report** — the reduced state plus config echo and the peak
 //!    shard-state footprint (the constant-memory witness).
+//!
+//! The top-k organization sketches see each shard's per-organization
+//! totals once, at the shard's conversion. While the organizations fit
+//! the sketch capacity (every study the simulator produces) that is
+//! exactly per-user ingestion; beyond it, evictions happen at that
+//! conversion and in the merges, never per user.
 
-use crate::model::{ServiceUse, Universe, UserModel};
-use appvsweb_analysis::population::{cohort_key, figure_key, PopulationAggregate};
-use appvsweb_analysis::{stats, CellAnalysis, PopulationReport, Study};
+use crate::model::{Universe, UserModel};
+use appvsweb_analysis::population::{
+    cohort_key, figure_key, CohortStats, PiiStats, PopulationAggregate, FIGURES,
+};
+use appvsweb_analysis::sketch::{QuantileSketch, TopKSketch};
+use appvsweb_analysis::{CellAnalysis, PopulationReport, Study};
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::Os;
 use appvsweb_pii::PiiType;
@@ -59,222 +76,432 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Fast lookup from `(service, OS, medium)` to the base study's cell,
-/// plus the rank-ordered adoption universes.
-struct CellIndex<'a> {
-    cells: BTreeMap<(&'a str, Os, Medium), &'a CellAnalysis>,
-    universe: Universe,
+/// Table slot of an OS: `[Android, Ios]`.
+fn os_slot(os: Os) -> usize {
+    match os {
+        Os::Android => 0,
+        Os::Ios => 1,
+    }
 }
 
-impl<'a> CellIndex<'a> {
-    fn new(study: &'a Study) -> Self {
-        let mut cells = BTreeMap::new();
+/// The OSes in slot order.
+const OSES: [Os; 2] = [Os::Android, Os::Ios];
+
+/// One measured cell, interned: everything a user's session of the
+/// cell adds, with no strings left.
+struct Row {
+    total_flows: u64,
+    aa_flows: u64,
+    aa_bytes: u64,
+    /// `(PiiType::ALL index, count, scales with device churn)` per
+    /// entry of the cell's `per_type`, zero counts included.
+    types: Vec<(usize, u64, bool)>,
+    /// Bit `i` is set when `PiiType::ALL[i]` is in `per_type`.
+    type_mask: u16,
+    /// `(organization id, leaks)` per entry of `per_domain_leaks`, in
+    /// its order.
+    orgs: Vec<(usize, u64)>,
+    /// The cell's A&A domains as a bitset over the study's domain ids.
+    aa_domains: Vec<u64>,
+    /// The domains receiving leaks, same bitset layout.
+    leak_domains: Vec<u64>,
+}
+
+/// The study compiled for population ingest: the rank-ordered adoption
+/// universes plus one [`Row`] per (OS, universe index, medium).
+struct CellTable {
+    universe: Universe,
+    /// `rows[os slot][universe index][medium slot]`; `None` where the
+    /// study has no such cell.
+    rows: [Vec<[Option<Row>; 2]>; 2],
+    /// Interned organization names; ids are indices, in name order.
+    orgs: Vec<String>,
+    /// Words per domain bitset: the study's distinct domains over 64,
+    /// rounded up.
+    words: usize,
+}
+
+impl CellTable {
+    fn compile(study: &Study) -> Self {
+        /// Organization view of a registrable domain (paper Table 2
+        /// style: the registrable label sans public suffix).
+        fn organization(domain: &str) -> &str {
+            domain.split('.').next().unwrap_or(domain)
+        }
+
+        let mut cells: BTreeMap<(&str, Os, Medium), &CellAnalysis> = BTreeMap::new();
         let mut ranked: BTreeMap<Os, BTreeSet<(u32, &str)>> = BTreeMap::new();
+        let mut domains: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut orgs: BTreeMap<&str, usize> = BTreeMap::new();
         for cell in &study.cells {
             cells.insert((cell.service_id.as_str(), cell.os, cell.medium), cell);
             ranked
                 .entry(cell.os)
                 .or_default()
                 .insert((cell.rank, cell.service_id.as_str()));
+            for domain in cell.aa_domains.iter().chain(&cell.leak_domains) {
+                domains.insert(domain.as_str(), 0);
+            }
+            for domain in cell.per_domain_leaks.keys() {
+                orgs.insert(organization(domain), 0);
+            }
         }
+        // Ids in key order: interned order is name order.
+        for (id, slot) in domains.values_mut().enumerate() {
+            *slot = id;
+        }
+        for (id, slot) in orgs.values_mut().enumerate() {
+            *slot = id;
+        }
+        let words = domains.len().div_ceil(64);
+        let bitset = |set: &BTreeSet<String>| {
+            let mut bits = vec![0u64; words];
+            for domain in set {
+                let id = domains.get(domain.as_str()).copied().unwrap_or(0);
+                if let Some(word) = bits.get_mut(id / 64) {
+                    *word |= 1 << (id % 64);
+                }
+            }
+            bits
+        };
+        let row = |cell: &CellAnalysis| {
+            let mut types = Vec::with_capacity(cell.per_type.len());
+            let mut type_mask = 0u16;
+            for (ty, agg) in &cell.per_type {
+                if let Some(slot) = PiiType::ALL.iter().position(|t| t == ty) {
+                    types.push((slot, agg.count, *ty == PiiType::UniqueId));
+                    type_mask |= 1 << slot;
+                }
+            }
+            Row {
+                total_flows: cell.total_flows,
+                aa_flows: cell.aa_flows,
+                aa_bytes: cell.aa_bytes,
+                types,
+                type_mask,
+                orgs: cell
+                    .per_domain_leaks
+                    .iter()
+                    .map(|(domain, leaks)| {
+                        let id = orgs.get(organization(domain)).copied().unwrap_or(0);
+                        (id, *leaks)
+                    })
+                    .collect(),
+                aa_domains: bitset(&cell.aa_domains),
+                leak_domains: bitset(&cell.leak_domains),
+            }
+        };
+
         let ordered = |os: Os| -> Vec<String> {
             ranked
                 .get(&os)
                 .map(|set| set.iter().map(|(_, id)| id.to_string()).collect())
                 .unwrap_or_default()
         };
-        CellIndex {
-            cells,
-            universe: Universe {
-                android: ordered(Os::Android),
-                ios: ordered(Os::Ios),
-            },
+        let universe = Universe {
+            android: ordered(Os::Android),
+            ios: ordered(Os::Ios),
+        };
+        let rows = OSES.map(|os| {
+            universe
+                .on(os)
+                .iter()
+                .map(|id| Medium::BOTH.map(|m| cells.get(&(id.as_str(), os, m)).map(|c| row(c))))
+                .collect()
+        });
+        CellTable {
+            universe,
+            rows,
+            orgs: orgs.keys().map(|org| org.to_string()).collect(),
+            words,
         }
-    }
-
-    fn get(&self, service_id: &str, os: Os, medium: Medium) -> Option<&'a CellAnalysis> {
-        self.cells.get(&(service_id, os, medium)).copied()
     }
 }
 
-/// Per-user, per-medium scratch for the figure diffs. Dropped as soon
-/// as the user is folded in — this is the state the sketches replace
-/// at population scale.
-#[derive(Default)]
-struct MediumScratch<'a> {
-    aa_domains: BTreeSet<&'a str>,
+/// Per-organization shard counters.
+#[derive(Clone, Default)]
+struct OrgCounts {
+    /// Leak instances received.
+    leaks: u64,
+    /// Users whose traffic reached the organization.
+    reach: u64,
+    /// Shard-local number of the last user counted in `reach`.
+    last_user: u64,
+}
+
+/// One user's traffic through one medium: the figure inputs, reset per
+/// user and reused.
+struct MediumUse {
+    aa_domains: Vec<u64>,
+    leak_domains: Vec<u64>,
+    types: u16,
     aa_flows: u64,
     aa_bytes: u64,
-    leak_domains: BTreeSet<&'a str>,
-    types: BTreeSet<PiiType>,
 }
 
-/// Organization view of a registrable domain (paper Table 2 style:
-/// the registrable label sans public suffix).
-fn organization(domain: &str) -> &str {
-    domain.split('.').next().unwrap_or(domain)
+impl MediumUse {
+    fn new(words: usize) -> Self {
+        MediumUse {
+            aa_domains: vec![0; words],
+            leak_domains: vec![0; words],
+            types: 0,
+            aa_flows: 0,
+            aa_bytes: 0,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.aa_domains.fill(0);
+        self.leak_domains.fill(0);
+        self.types = 0;
+        self.aa_flows = 0;
+        self.aa_bytes = 0;
+    }
 }
 
-/// Stream one user into a shard aggregate.
-///
-/// Scaling model: a user's session of a cell observes the cell's
-/// measured per-session traffic, so counts scale linearly with the
-/// user's session count; device churn re-exposes hardware identifiers,
-/// so UniqueId instances additionally scale with device generations.
-fn ingest_user(agg: &mut PopulationAggregate, user: &UserModel, index: &CellIndex) {
-    agg.users = agg.users.saturating_add(1);
-    let mut app = MediumScratch::default();
-    let mut web = MediumScratch::default();
-    let mut orgs: BTreeSet<&str> = BTreeSet::new();
-    let mut cohorts: BTreeSet<String> = BTreeSet::new();
-    let mut leaked = false;
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
 
-    for ServiceUse {
-        service_id,
-        app_sessions,
-        web_sessions,
-    } in &user.services
-    {
-        for (medium, sessions) in [(Medium::App, *app_sessions), (Medium::Web, *web_sessions)] {
-            if sessions == 0 {
-                continue;
-            }
-            let Some(cell) = index.get(service_id, user.os, medium) else {
+fn popcount(bits: &[u64]) -> u64 {
+    bits.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// One shard's dense accumulators. [`Shard::finish`] converts them into
+/// the canonical [`PopulationAggregate`].
+struct Shard<'t> {
+    table: &'t CellTable,
+    /// The scalar totals accumulate here directly; [`Shard::finish`]
+    /// fills in the keyed fields.
+    agg: PopulationAggregate,
+    /// Slot `2 × os slot + medium slot`.
+    cohorts: [CohortStats; 4],
+    /// Slot = `PiiType::ALL` index.
+    pii: [PiiStats; 10],
+    orgs: Vec<OrgCounts>,
+    users_by_os: [u64; 2],
+    /// `figures[os slot][k]` is the sketch of `FIGURES[k]`.
+    figures: [[QuantileSketch; 6]; 2],
+    /// Per-user scratch: `[app, web]`.
+    media: [MediumUse; 2],
+}
+
+impl<'t> Shard<'t> {
+    fn new(table: &'t CellTable) -> Self {
+        Shard {
+            table,
+            agg: PopulationAggregate::new(),
+            cohorts: Default::default(),
+            pii: Default::default(),
+            orgs: vec![OrgCounts::default(); table.orgs.len()],
+            users_by_os: [0; 2],
+            figures: Default::default(),
+            media: [MediumUse::new(table.words), MediumUse::new(table.words)],
+        }
+    }
+
+    /// Stream one user in.
+    ///
+    /// Scaling model: a user's session of a cell observes the cell's
+    /// measured per-session traffic, so counts scale linearly with the
+    /// user's session count; device churn re-exposes hardware
+    /// identifiers, so UniqueId instances additionally scale with
+    /// device generations.
+    fn ingest(&mut self, user: &UserModel) {
+        let agg = &mut self.agg;
+        agg.users = agg.users.saturating_add(1);
+        let stamp = agg.users;
+        let os = os_slot(user.os);
+        let rows = self.table.rows.get(os).map(Vec::as_slice).unwrap_or(&[]);
+        for medium in &mut self.media {
+            medium.reset();
+        }
+        let mut leaked = false;
+        let mut cohorts_used = [false; 2];
+
+        for service in &user.services {
+            let Some(cells) = rows.get(service.service) else {
                 continue;
             };
-            let s = sessions as u64;
-            let scratch = match medium {
-                Medium::App => &mut app,
-                Medium::Web => &mut web,
-            };
-
-            agg.sessions = agg.sessions.saturating_add(s);
-            agg.flows = agg.flows.saturating_add(cell.total_flows.saturating_mul(s));
-            agg.aa_flows = agg.aa_flows.saturating_add(cell.aa_flows.saturating_mul(s));
-            agg.aa_bytes = agg.aa_bytes.saturating_add(cell.aa_bytes.saturating_mul(s));
-
-            let mut cell_leaks = 0u64;
-            for (ty, type_agg) in &cell.per_type {
-                let churn = if *ty == PiiType::UniqueId {
-                    user.device_generations as u64
-                } else {
-                    1
+            for (m, sessions) in [service.app_sessions, service.web_sessions]
+                .into_iter()
+                .enumerate()
+            {
+                if sessions == 0 {
+                    continue;
+                }
+                let (Some(Some(row)), Some(medium)) = (cells.get(m), self.media.get_mut(m)) else {
+                    continue;
                 };
-                let instances = type_agg.count.saturating_mul(s).saturating_mul(churn);
-                cell_leaks = cell_leaks.saturating_add(instances);
-                let stats = agg.pii.entry(*ty).or_default();
-                stats.instances = stats.instances.saturating_add(instances);
-                match medium {
-                    Medium::App => {
-                        stats.app_instances = stats.app_instances.saturating_add(instances)
-                    }
-                    Medium::Web => {
-                        stats.web_instances = stats.web_instances.saturating_add(instances)
+                let s = sessions as u64;
+                let aa_flows = row.aa_flows.saturating_mul(s);
+                let aa_bytes = row.aa_bytes.saturating_mul(s);
+                agg.sessions = agg.sessions.saturating_add(s);
+                agg.flows = agg.flows.saturating_add(row.total_flows.saturating_mul(s));
+                agg.aa_flows = agg.aa_flows.saturating_add(aa_flows);
+                agg.aa_bytes = agg.aa_bytes.saturating_add(aa_bytes);
+
+                let mut cell_leaks = 0u64;
+                for &(slot, count, churns) in &row.types {
+                    let churn = if churns {
+                        user.device_generations as u64
+                    } else {
+                        1
+                    };
+                    let instances = count.saturating_mul(s).saturating_mul(churn);
+                    cell_leaks = cell_leaks.saturating_add(instances);
+                    if let Some(stats) = self.pii.get_mut(slot) {
+                        stats.instances = stats.instances.saturating_add(instances);
+                        let by_medium = if m == 0 {
+                            &mut stats.app_instances
+                        } else {
+                            &mut stats.web_instances
+                        };
+                        *by_medium = by_medium.saturating_add(instances);
                     }
                 }
-                scratch.types.insert(*ty);
-            }
-            agg.leak_instances = agg.leak_instances.saturating_add(cell_leaks);
-            leaked |= cell_leaks > 0;
+                agg.leak_instances = agg.leak_instances.saturating_add(cell_leaks);
+                leaked |= cell_leaks > 0;
 
-            for (domain, leaks) in &cell.per_domain_leaks {
-                let org = organization(domain);
-                agg.leak_orgs.add(org, leaks.saturating_mul(s));
-                orgs.insert(org);
-            }
-            for domain in &cell.aa_domains {
-                scratch.aa_domains.insert(domain.as_str());
-            }
-            for domain in &cell.leak_domains {
-                scratch.leak_domains.insert(domain.as_str());
-            }
-            scratch.aa_flows = scratch
-                .aa_flows
-                .saturating_add(cell.aa_flows.saturating_mul(s));
-            scratch.aa_bytes = scratch
-                .aa_bytes
-                .saturating_add(cell.aa_bytes.saturating_mul(s));
+                for &(org, leaks) in &row.orgs {
+                    if let Some(counts) = self.orgs.get_mut(org) {
+                        counts.leaks = counts.leaks.saturating_add(leaks.saturating_mul(s));
+                        if counts.last_user != stamp {
+                            counts.last_user = stamp;
+                            counts.reach = counts.reach.saturating_add(1);
+                        }
+                    }
+                }
 
-            let cohort = cohort_key(user.os, medium);
-            let cohort_stats = agg.cohorts.entry(cohort.clone()).or_default();
-            cohort_stats.sessions = cohort_stats.sessions.saturating_add(s);
-            cohort_stats.aa_flows = cohort_stats
-                .aa_flows
-                .saturating_add(cell.aa_flows.saturating_mul(s));
-            cohort_stats.aa_bytes = cohort_stats
-                .aa_bytes
-                .saturating_add(cell.aa_bytes.saturating_mul(s));
-            cohort_stats.leak_instances = cohort_stats.leak_instances.saturating_add(cell_leaks);
-            cohorts.insert(cohort);
+                or_into(&mut medium.aa_domains, &row.aa_domains);
+                or_into(&mut medium.leak_domains, &row.leak_domains);
+                medium.types |= row.type_mask;
+                medium.aa_flows = medium.aa_flows.saturating_add(aa_flows);
+                medium.aa_bytes = medium.aa_bytes.saturating_add(aa_bytes);
+
+                if let Some(cohort) = self.cohorts.get_mut(2 * os + m) {
+                    cohort.sessions = cohort.sessions.saturating_add(s);
+                    cohort.aa_flows = cohort.aa_flows.saturating_add(aa_flows);
+                    cohort.aa_bytes = cohort.aa_bytes.saturating_add(aa_bytes);
+                    cohort.leak_instances = cohort.leak_instances.saturating_add(cell_leaks);
+                }
+                if let Some(used) = cohorts_used.get_mut(m) {
+                    *used = true;
+                }
+            }
+        }
+
+        if leaked {
+            agg.users_leaking = agg.users_leaking.saturating_add(1);
+        }
+        for (m, used) in cohorts_used.into_iter().enumerate() {
+            if let (true, Some(cohort)) = (used, self.cohorts.get_mut(2 * os + m)) {
+                cohort.users = cohort.users.saturating_add(1);
+            }
+        }
+        let [app, web] = &self.media;
+        let user_types = app.types | web.types;
+        for (slot, stats) in self.pii.iter_mut().enumerate() {
+            if user_types & (1 << slot) != 0 {
+                stats.users = stats.users.saturating_add(1);
+            }
+        }
+
+        // The per-user app-vs-web difference samples (Figures 2–7), in
+        // `FIGURES` order.
+        let diff = |a: u64, b: u64| a as f64 - b as f64;
+        let union = user_types.count_ones();
+        let jaccard = if union == 0 {
+            0.0
+        } else {
+            (app.types & web.types).count_ones() as f64 / union as f64
+        };
+        let samples = [
+            diff(popcount(&app.aa_domains), popcount(&web.aa_domains)),
+            diff(app.aa_flows, web.aa_flows),
+            diff(app.aa_bytes, web.aa_bytes) / 1.0e6,
+            diff(popcount(&app.leak_domains), popcount(&web.leak_domains)),
+            diff(
+                u64::from(app.types.count_ones()),
+                u64::from(web.types.count_ones()),
+            ),
+            jaccard,
+        ];
+        if let (Some(sketches), Some(n)) = (self.figures.get_mut(os), self.users_by_os.get_mut(os))
+        {
+            *n = n.saturating_add(1);
+            for (sketch, value) in sketches.iter_mut().zip(samples) {
+                sketch.add(value);
+            }
         }
     }
 
-    if leaked {
-        agg.users_leaking = agg.users_leaking.saturating_add(1);
-    }
-    for cohort in cohorts {
-        if let Some(stats) = agg.cohorts.get_mut(&cohort) {
-            stats.users = stats.users.saturating_add(1);
+    /// Convert the dense counters into the canonical aggregate: keys
+    /// appear exactly where per-user ingestion would have created them.
+    fn finish(self) -> PopulationAggregate {
+        let mut agg = self.agg;
+        let cohort_keys = OSES.map(|os| Medium::BOTH.map(|m| (os, m)));
+        for ((os, medium), stats) in cohort_keys.into_iter().flatten().zip(self.cohorts) {
+            if stats.users > 0 {
+                agg.cohorts.insert(cohort_key(os, medium), stats);
+            }
         }
-    }
-    let user_types: BTreeSet<PiiType> = app.types.union(&web.types).copied().collect();
-    for ty in user_types {
-        if let Some(stats) = agg.pii.get_mut(&ty) {
-            stats.users = stats.users.saturating_add(1);
+        for (ty, stats) in PiiType::ALL.into_iter().zip(self.pii) {
+            if stats.users > 0 {
+                agg.pii.insert(ty, stats);
+            }
         }
-    }
-    for org in orgs {
-        agg.org_reach.add(org, 1);
-    }
-
-    // The per-user app-vs-web difference samples (Figures 2–7).
-    let diff = |a: u64, b: u64| a as f64 - b as f64;
-    let samples = [
-        (
-            "fig2",
-            diff(app.aa_domains.len() as u64, web.aa_domains.len() as u64),
-        ),
-        ("fig3", diff(app.aa_flows, web.aa_flows)),
-        ("fig4", diff(app.aa_bytes, web.aa_bytes) / 1.0e6),
-        (
-            "fig5",
-            diff(app.leak_domains.len() as u64, web.leak_domains.len() as u64),
-        ),
-        ("fig6", diff(app.types.len() as u64, web.types.len() as u64)),
-        ("fig7", stats::jaccard(&app.types, &web.types)),
-    ];
-    for (figure, value) in samples {
-        agg.figures
-            .entry(figure_key(figure, user.os))
-            .or_default()
-            .add(value);
+        let names = || self.table.orgs.iter().map(String::as_str);
+        agg.leak_orgs = TopKSketch::from_counts(
+            agg.leak_orgs.capacity,
+            names().zip(self.orgs.iter().map(|o| o.leaks)),
+        );
+        agg.org_reach = TopKSketch::from_counts(
+            agg.org_reach.capacity,
+            names().zip(self.orgs.iter().map(|o| o.reach)),
+        );
+        for ((os, users), sketches) in OSES.into_iter().zip(self.users_by_os).zip(self.figures) {
+            if users == 0 {
+                continue;
+            }
+            for ((figure, _), sketch) in FIGURES.iter().zip(sketches) {
+                agg.figures.insert(figure_key(figure, os), sketch);
+            }
+        }
+        agg
     }
 }
 
 /// Build one shard's aggregate by streaming users `lo..hi`.
-fn build_shard(seed: u64, range: (u64, u64), index: &CellIndex) -> PopulationAggregate {
-    let mut agg = PopulationAggregate::new();
+fn build_shard(seed: u64, range: (u64, u64), table: &CellTable) -> PopulationAggregate {
+    let mut shard = Shard::new(table);
     for user_id in range.0..range.1 {
-        let user = UserModel::generate(seed, user_id, &index.universe);
-        ingest_user(&mut agg, &user, index);
+        shard.ingest(&UserModel::generate(seed, user_id, &table.universe));
     }
-    agg
+    shard.finish()
 }
 
 /// Fold shard states pairwise in a fixed binary tree over shard order.
 /// The pairing never depends on timing, so any worker count yields the
 /// same sequence of merges — and since `merge` is associative on these
-/// states, the same bytes.
-fn reduce_tree(mut states: Vec<PopulationAggregate>, workers: usize) -> PopulationAggregate {
+/// states, the same bytes. Each state moves into its merge; none is
+/// copied. The merges run on the calling thread: shard states are
+/// bounded, so the whole tree costs a few milliseconds at any user
+/// count, less than spawning workers for each level, whose allocator
+/// arenas also kept freed merge memory resident.
+fn reduce_tree(mut states: Vec<PopulationAggregate>) -> PopulationAggregate {
     while states.len() > 1 {
-        let pairs: Vec<&[PopulationAggregate]> = states.chunks(2).collect();
-        states = appvsweb_core::exec::run_indexed(&pairs, workers, 1, |_, pair| {
-            let mut left = pair.first().cloned().unwrap_or_default();
-            if let Some(right) = pair.get(1) {
-                left.merge(right);
+        let mut next = Vec::with_capacity(states.len().div_ceil(2));
+        let mut pairs = states.into_iter();
+        while let Some(mut left) = pairs.next() {
+            if let Some(right) = pairs.next() {
+                left.merge(&right);
             }
-            left
-        });
+            next.push(left);
+        }
+        states = next;
     }
     states.into_iter().next().unwrap_or_default()
 }
@@ -284,7 +511,7 @@ fn reduce_tree(mut states: Vec<PopulationAggregate>, workers: usize) -> Populati
 /// Pure in `(study, cfg)`: re-running with any worker count returns a
 /// byte-identical [`PopulationReport`].
 pub fn run_campaign_on(study: &Study, cfg: &CampaignConfig) -> PopulationReport {
-    let index = CellIndex::new(study);
+    let table = CellTable::compile(study);
     let shards = cfg.shards.max(1);
     let ranges: Vec<(u64, u64)> = (0..shards as u64)
         .map(|i| {
@@ -295,10 +522,10 @@ pub fn run_campaign_on(study: &Study, cfg: &CampaignConfig) -> PopulationReport 
         })
         .collect();
     let states = appvsweb_core::exec::run_indexed(&ranges, cfg.workers.max(1), 1, |_, &range| {
-        build_shard(cfg.seed, range, &index)
+        build_shard(cfg.seed, range, &table)
     });
     let peak_state_bytes = states.iter().map(|s| s.approx_bytes()).max().unwrap_or(0);
-    let aggregate = reduce_tree(states, cfg.workers.max(1));
+    let aggregate = reduce_tree(states);
     PopulationReport {
         users: cfg.users,
         shards,
@@ -482,7 +709,7 @@ mod tests {
 
     #[test]
     fn real_catalog_universe_is_rank_ordered() {
-        // Spot-check CellIndex against the real catalog shape without
+        // Spot-check CellTable against the real catalog shape without
         // running the simulator: build a study of empty cells.
         let catalog = Catalog::paper();
         let mut cells = Vec::new();
@@ -514,8 +741,8 @@ mod tests {
             cells,
             health: Default::default(),
         };
-        let index = CellIndex::new(&study);
-        assert_eq!(index.universe.android.len(), 49);
-        assert_eq!(index.universe.ios.len(), 49);
+        let table = CellTable::compile(&study);
+        assert_eq!(table.universe.android.len(), 49);
+        assert_eq!(table.universe.ios.len(), 49);
     }
 }

@@ -5,14 +5,15 @@
 //! then scales the measured per-cell results (crowdsourcing style, as
 //! ReCon and PrivacyProxy aggregate real users' traffic). Everything a
 //! user is comes from SimRng streams forked under
-//! `rng_labels::population_user(user_id, cell)`, so:
+//! `rng_labels::population_user(user_id, cell)` (the user's label
+//! prefix is hashed once and each cell forks from it), so:
 //!
 //! * a user's model is a pure function of `(population seed, user_id)`,
 //! * shard boundaries and worker counts can never re-key a user, and
 //! * adding services to the catalogue perturbs only the users who
 //!   adopt them (per-service usage draws live in per-service streams).
 
-use appvsweb_netsim::{rng_labels, Os, SimRng};
+use appvsweb_netsim::{rng_labels, ForkPrefix, Os, SimRng};
 use appvsweb_pii::GroundTruth;
 
 /// The rank-ordered service universes users pick from, one per OS
@@ -39,8 +40,9 @@ impl Universe {
 /// How one user exercises one service.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceUse {
-    /// The service adopted.
-    pub service_id: String,
+    /// The service adopted: its index in the user's OS universe
+    /// ([`Universe::on`]), which is also its rank order.
+    pub service: usize,
     /// Sessions via the native app (0 = doesn't use the app).
     pub app_sessions: u32,
     /// Sessions via the mobile web site (0 = doesn't use the web).
@@ -55,8 +57,10 @@ pub struct UserModel {
     pub user_id: u64,
     /// The user's platform.
     pub os: Os,
-    /// The user's synthetic PII profile (account identity).
-    pub profile: GroundTruth,
+    /// Seed of the user's synthetic PII profile; [`UserModel::profile`]
+    /// expands it. Campaigns never read the profile, so it is not built
+    /// per user.
+    pub profile_seed: u64,
     /// Devices owned over the observation window (≥ 1); each
     /// generation re-exposes a fresh set of hardware identifiers, so
     /// churn multiplies UniqueId leak instances.
@@ -102,59 +106,72 @@ impl UserModel {
     /// Deterministic in `(seed, user_id, universe)`; independent of
     /// every other user.
     pub fn generate(seed: u64, user_id: u64, universe: &Universe) -> UserModel {
-        let mut profile_rng =
-            SimRng::new(seed).fork(&rng_labels::population_user(user_id, "profile"));
+        // One hashed prefix per user; every stream below is
+        // `fork(&rng_labels::population_user(user_id, cell))`.
+        let streams = SimRng::new(seed).fork_prefix(rng_labels::population_user_prefix(user_id));
+        let mut profile_rng = streams.fork_suffix("profile");
         let os = if profile_rng.chance(calib::P_ANDROID) {
             Os::Android
         } else {
             Os::Ios
         };
-        let profile = GroundTruth::synthetic(profile_rng.next_u64());
+        let profile_seed = profile_rng.next_u64();
         let device_generations = 1 + profile_rng.below(calib::MAX_DEVICE_GENERATIONS) as u32;
         let web_affinity =
             calib::WEB_AFFINITY_BASE + calib::WEB_AFFINITY_SPREAD * profile_rng.unit();
 
         let pool = universe.on(os);
-        let mut services = Vec::new();
+        let mut services: Vec<ServiceUse> = Vec::new();
         if !pool.is_empty() {
             let want = (1 + profile_rng.below(calib::MAX_SERVICES)) as usize;
+            services.reserve_exact(want);
             // Rank-biased sampling without replacement, bounded
             // attempts so the draw count stays small and deterministic.
-            let mut picked: Vec<usize> = Vec::with_capacity(want);
             for _ in 0..want * 3 {
-                if picked.len() >= want {
+                if services.len() >= want {
                     break;
                 }
                 let idx = biased_index(&mut profile_rng, pool.len() as u64) as usize;
-                if !picked.contains(&idx) {
-                    picked.push(idx);
+                if !services.iter().any(|s| s.service == idx) {
+                    services.push(ServiceUse {
+                        service: idx,
+                        app_sessions: 0,
+                        web_sessions: 0,
+                    });
                 }
             }
-            picked.sort_unstable();
-            for idx in picked {
-                let Some(service_id) = pool.get(idx) else {
-                    continue;
-                };
-                services.push(Self::usage(seed, user_id, service_id, web_affinity));
+            services.sort_unstable_by_key(|s| s.service);
+            for s in &mut services {
+                // `biased_index` draws below `pool.len()`.
+                *s = Self::usage(&streams, s.service, &pool[s.service], web_affinity);
             }
         }
 
         UserModel {
             user_id,
             os,
-            profile,
+            profile_seed,
             device_generations,
             web_affinity,
             services,
         }
     }
 
+    /// The user's synthetic PII profile (account identity).
+    pub fn profile(&self) -> GroundTruth {
+        GroundTruth::synthetic(self.profile_seed)
+    }
+
     /// Sample how this user exercises one service, from the user's
-    /// per-service stream (the `(user_id, cell)` fork of the issue
-    /// spec: one stream per user per service cell).
-    fn usage(seed: u64, user_id: u64, service_id: &str, web_affinity: f64) -> ServiceUse {
-        // lint:allow(D3x) parameterized label: the "profile" cell and per-service cells are disjoint label sets
-        let mut rng = SimRng::new(seed).fork(&rng_labels::population_user(user_id, service_id));
+    /// per-service stream (one stream per user per service cell,
+    /// labelled by the service id).
+    fn usage(
+        streams: &ForkPrefix,
+        service: usize,
+        service_id: &str,
+        web_affinity: f64,
+    ) -> ServiceUse {
+        let mut rng = streams.fork_suffix(service_id);
         let mut uses_app = rng.chance(calib::P_USES_APP);
         let uses_web = rng.chance(web_affinity);
         if !uses_app && !uses_web {
@@ -172,7 +189,7 @@ impl UserModel {
         let app_sessions = sessions(&mut rng, uses_app);
         let web_sessions = sessions(&mut rng, uses_web);
         ServiceUse {
-            service_id: service_id.to_string(),
+            service,
             app_sessions,
             web_sessions,
         }
@@ -206,13 +223,13 @@ mod tests {
         assert_eq!(a, b);
         let c = UserModel::generate(2016, 43, &u);
         assert_ne!(
-            (a.os, a.profile.email.clone(), a.services.clone()),
-            (c.os, c.profile.email.clone(), c.services.clone()),
+            (a.os, a.profile().email, a.services.clone()),
+            (c.os, c.profile().email, c.services.clone()),
             "neighbouring users draw from independent streams"
         );
         // Different campaign seed re-keys everyone.
         let d = UserModel::generate(2017, 42, &u);
-        assert_ne!(a.profile.email, d.profile.email);
+        assert_ne!(a.profile().email, d.profile().email);
     }
 
     #[test]
@@ -227,7 +244,8 @@ mod tests {
             assert!(m.services.len() <= 7);
             let mut seen = std::collections::BTreeSet::new();
             for s in &m.services {
-                assert!(seen.insert(s.service_id.clone()), "no duplicate adoption");
+                assert!(s.service < 20, "adoptions index the universe");
+                assert!(seen.insert(s.service), "no duplicate adoption");
                 assert!(
                     s.app_sessions > 0 || s.web_sessions > 0,
                     "adopted services are used"
@@ -235,7 +253,7 @@ mod tests {
                 assert!(s.app_sessions <= 4 && s.web_sessions <= 4);
             }
             assert!(m.total_sessions() >= 1);
-            assert!(!m.profile.email.is_empty());
+            assert!(!m.profile().email.is_empty());
         }
         assert_eq!(oses.len(), 2, "both platforms appear in 200 users");
     }
@@ -247,11 +265,9 @@ mod tests {
         let mut tail = 0usize;
         for uid in 0..500 {
             for s in UserModel::generate(11, uid, &u).services {
-                // Universe ids encode their rank index.
-                let idx: usize = s.service_id[4..].parse().unwrap();
-                if idx < 5 {
+                if s.service < 5 {
                     head += 1;
-                } else if idx >= 15 {
+                } else if s.service >= 15 {
                     tail += 1;
                 }
             }
@@ -260,6 +276,38 @@ mod tests {
             head > tail * 2,
             "top-5 services should dominate bottom-5 adoption: head={head} tail={tail}"
         );
+    }
+
+    #[test]
+    fn streams_are_the_whole_label_forks() {
+        // Each stream must be `fork(&population_user(user_id, cell))`,
+        // however the label is hashed: replay the profile and usage
+        // draws from whole labels and compare.
+        let u = universe();
+        for uid in [0, 1, 42, 999_999_999_999] {
+            let m = UserModel::generate(2016, uid, &u);
+            let root = SimRng::new(2016);
+            let mut profile = root.fork(&rng_labels::population_user(uid, "profile"));
+            let android = profile.chance(calib::P_ANDROID);
+            assert_eq!(m.os == Os::Android, android);
+            assert_eq!(m.profile_seed, profile.next_u64());
+            for s in &m.services {
+                let id = &u.on(m.os)[s.service];
+                let mut rng = root.fork(&rng_labels::population_user(uid, id));
+                let uses_app = rng.chance(calib::P_USES_APP);
+                let uses_web = rng.chance(m.web_affinity);
+                let mut draw = |active: bool| {
+                    if active {
+                        1 + rng.below(1 + calib::MAX_EXTRA_SESSIONS) as u32
+                    } else {
+                        0
+                    }
+                };
+                let app = draw(uses_app || !uses_web);
+                let web = draw(uses_web);
+                assert_eq!((s.app_sessions, s.web_sessions), (app, web), "user {uid}");
+            }
+        }
     }
 
     #[test]

@@ -183,6 +183,30 @@ fn seeded_duplicate_fork_label_is_caught() {
     assert!(d3x[0].message.contains("WORLD"), "{}", d3x[0].message);
 }
 
+#[test]
+fn prefix_forks_obey_the_label_rules() {
+    // `fork_prefix` opens a family of streams: its prefix must come from
+    // rng_labels (D3), and one prefix item has one fork scope (D3x).
+    let report = analyze_files(&files(&[
+        (
+            "crates/alpha/src/lib.rs",
+            "pub fn adhoc(r: &SimRng, u: u64) { r.fork_prefix(u); }\n\
+             pub fn users(r: &SimRng) { r.fork_prefix(rng_labels::population_user_prefix(1)); }\n",
+        ),
+        (
+            "crates/beta/src/lib.rs",
+            "pub fn again(r: &SimRng) { r.fork_prefix(rng_labels::population_user_prefix(2)); }\n",
+        ),
+    ]));
+    let d3: Vec<_> = report.findings.iter().filter(|f| f.rule == "D3").collect();
+    assert_eq!(d3.len(), 1, "{:?}", report.findings);
+    assert_eq!(d3[0].path, "crates/alpha/src/lib.rs");
+    let d3x: Vec<_> = report.findings.iter().filter(|f| f.rule == "D3x").collect();
+    assert_eq!(d3x.len(), 1, "{:?}", report.findings);
+    assert_eq!(d3x[0].path, "crates/beta/src/lib.rs");
+    assert!(d3x[0].message.contains("population_user_prefix"));
+}
+
 // ----------------------------------------------------------------------
 // lint:allow edge cases
 // ----------------------------------------------------------------------
