@@ -15,17 +15,13 @@ echo "== cargo clippy --no-default-features (obs compiled out) =="
 cargo clippy -p appvsweb -p appvsweb-bench --all-targets --no-default-features -- -D warnings
 
 echo "== appvsweb-lint --check (determinism & robustness vs lint.baseline.json) =="
-rm -rf target/lint-cache
 cargo run -q --release -p appvsweb-lint -- --check
 
-echo "== appvsweb-lint cache gate (warm cached re-run must be finding-identical) =="
-rm -rf target/lint-cache
-cargo run -q --release -p appvsweb-lint -- --json > target/lint-cold.json
-cargo run -q --release -p appvsweb-lint -- --json > target/lint-warm.json
-cmp target/lint-cold.json target/lint-warm.json
-cargo run -q --release -p appvsweb-lint -- --json --no-cache --workers 4 > target/lint-nocache.json
-cmp target/lint-cold.json target/lint-nocache.json
-rm -f target/lint-cold.json target/lint-warm.json target/lint-nocache.json
+echo "== appvsweb-lint worker gate (1- and 4-worker reports must be byte-identical) =="
+cargo run -q --release -p appvsweb-lint -- --json --workers 1 > target/lint-w1.json
+cargo run -q --release -p appvsweb-lint -- --json --workers 4 > target/lint-w4.json
+cmp target/lint-w1.json target/lint-w4.json
+rm -f target/lint-w1.json target/lint-w4.json
 
 echo "== lint bench (emits BENCH_lint.json: scan size, tokens/sec, findings by rule) =="
 cargo bench -q -p appvsweb-bench --bench lint

@@ -8,21 +8,25 @@
 //! With `BENCH_GATE=1` in the environment (ci.sh sets it), the run is
 //! also a perf-regression gate: the fresh `campaign_1m_users` median is
 //! compared against the committed artifact *before* it is overwritten,
-//! and a regression of more than 25% fails the process.
+//! and a regression of more than 25% fails the process. Every row but
+//! `campaign_10k_users_1_worker` runs at a fixed [`GATE_WORKERS`]
+//! threads, recorded as `meta.workers` beside the host's `meta.nproc`;
+//! the gate refuses an artifact measured at another worker count.
 
-use appvsweb_bench::{bench_gate, committed_median_ns, quick_config, repo_root};
+use appvsweb_bench::{bench_gate, committed, nproc, quick_config, repo_root, GATE_WORKERS};
 use appvsweb_core::study::run_study;
 use appvsweb_population::{run_campaign_on, CampaignConfig};
 use appvsweb_testkit::BenchRunner;
 
 fn main() {
     const GATED: &str = "campaign_1m_users";
-    let baseline = committed_median_ns(&repo_root().join("BENCH_population.json"), GATED);
+    let baseline = committed(&repo_root().join("BENCH_population.json"), GATED);
     let study = run_study(&quick_config());
     let mut runner = BenchRunner::new("population").with_samples(1, 5);
 
     let cfg = |users: u64| CampaignConfig {
         users,
+        workers: GATE_WORKERS,
         ..CampaignConfig::default()
     };
     for (name, users) in [
@@ -42,6 +46,7 @@ fn main() {
     let base = cfg(10_000);
     runner.meta("shards", base.shards);
     runner.meta("workers", base.workers as u64);
+    runner.meta("nproc", nproc());
     runner.bench("campaign_10k_users_1_worker", || {
         run_campaign_on(
             &study,
@@ -74,7 +79,7 @@ fn main() {
     runner
         .write_json(&repo_root())
         .expect("write bench artifact");
-    if !bench_gate(GATED, baseline, fresh) {
+    if !bench_gate(GATED, baseline, fresh, GATE_WORKERS) {
         std::process::exit(1);
     }
 }

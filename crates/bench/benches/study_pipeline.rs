@@ -7,10 +7,13 @@
 //! doubles as a perf-regression gate: the freshly measured
 //! `full_campaign_1min_sessions` median is compared against the
 //! committed artifact *before* it is overwritten, and a regression of
-//! more than 25% fails the process.
+//! more than 25% fails the process. The campaign runs at a fixed
+//! [`GATE_WORKERS`] threads, recorded as `meta.workers` beside the
+//! host's `meta.nproc`; the gate refuses an artifact measured at another
+//! worker count.
 
-use appvsweb_bench::{bench_gate, committed_median_ns, quick_config, repo_root};
-use appvsweb_core::study::{run_cell, run_study};
+use appvsweb_bench::{bench_gate, committed, nproc, quick_config, repo_root, GATE_WORKERS};
+use appvsweb_core::study::{run_cell, run_study, StudyConfig};
 use appvsweb_netsim::Os;
 use appvsweb_services::{Catalog, Medium};
 use appvsweb_testkit::BenchRunner;
@@ -35,8 +38,14 @@ fn main() {
 
     // The full 196-cell campaign at 1 simulated minute per session.
     const CAMPAIGN: &str = "full_campaign_1min_sessions";
-    let baseline = committed_median_ns(&repo_root().join("BENCH_pipeline.json"), CAMPAIGN);
-    runner.bench(CAMPAIGN, || run_study(&cfg));
+    let baseline = committed(&repo_root().join("BENCH_pipeline.json"), CAMPAIGN);
+    let campaign_cfg = StudyConfig {
+        workers: GATE_WORKERS,
+        ..cfg
+    };
+    runner.bench(CAMPAIGN, || run_study(&campaign_cfg));
+    runner.meta("workers", GATE_WORKERS as u64);
+    runner.meta("nproc", nproc());
 
     let fresh = runner
         .results()
@@ -47,7 +56,7 @@ fn main() {
         .write_json(&repo_root())
         .expect("write bench artifact");
 
-    if !bench_gate(CAMPAIGN, baseline, fresh) {
+    if !bench_gate(CAMPAIGN, baseline, fresh, GATE_WORKERS) {
         std::process::exit(1);
     }
 }

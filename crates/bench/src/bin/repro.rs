@@ -73,7 +73,7 @@ fn parse_args() -> Args {
                     "usage: repro [--all] [--table N] [--figure 1a..1f] [--duration] \
                      [--headlines] [--json FILE] [--report FILE] [--seed N] [--minutes N] \
                      [--faults none|light|moderate|heavy]\n       repro lint [--check] \
-                     [--json] [--fix-baseline] [--labels]\n       repro fuzz [--target NAME] \
+                     [--json] [--fix-baseline] [--labels] [--workers N]\n       repro fuzz [--target NAME] \
                      [--iters N] [--seed N] [--smoke] [--minimize]\n       repro trace \
                      [--cell SERVICE/OS/MEDIUM]\n       repro metrics [--check]\n       \
                      repro population [--users N] [--shards N] [--workers N] [--seed N] \

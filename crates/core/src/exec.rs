@@ -14,6 +14,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
+/// The default worker count: the host's available parallelism (4 when
+/// it cannot be queried), capped at 16.
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(16)
+}
+
 /// Map `f` over `items` on `workers` threads, returning results in
 /// item order regardless of scheduling.
 ///

@@ -172,7 +172,7 @@ impl Default for StudyConfig {
         StudyConfig {
             seed: 2016,
             duration: SimDuration::from_mins(4),
-            workers: available_workers(),
+            workers: crate::exec::available_workers(),
             use_recon: true,
             faults: FaultPlan::none(),
             cell_attempts: 2,
@@ -232,13 +232,6 @@ pub fn campaign_cells<'a>(
             Ok(work)
         }
     }
-}
-
-fn available_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16)
 }
 
 /// Services used to train ReCon (their traces are still measured; the
@@ -547,7 +540,7 @@ mod tests {
         StudyConfig {
             seed: 2016,
             duration: SimDuration::from_mins(1),
-            workers: available_workers(),
+            workers: crate::exec::available_workers(),
             use_recon: false,
             ..StudyConfig::default()
         }

@@ -8,10 +8,9 @@
 //! churn the file. Matching is multiset-aware: two identical sites need
 //! two entries.
 //!
-//! Two schemas exist on disk. **v1** was a flat `findings` array;
-//! **v2** (current) groups entries by rule so a review can see the
-//! per-rule debt at a glance and diffs stay local to the rule that
-//! changed:
+//! The on-disk schema (`"version": 2`) groups entries by rule so a
+//! review can see the per-rule debt at a glance and diffs stay local to
+//! the rule that changed:
 //!
 //! ```json
 //! {
@@ -23,9 +22,8 @@
 //! }
 //! ```
 //!
-//! [`Baseline::from_json_text`] reads both; every write path
-//! ([`Baseline::to_json_text`]) emits v2. `appvsweb-lint
-//! --migrate-baseline` rewrites a committed v1 file in place.
+//! [`Baseline::from_json_text`] rejects a document whose `version` is
+//! anything but 2; [`Baseline::to_json_text`] writes v2.
 
 use crate::engine::{Finding, Report};
 use appvsweb_json::{encode_pretty, impl_json, parse, FromJson, JsonError};
@@ -45,15 +43,6 @@ pub struct BaselineEntry {
 }
 
 impl_json!(struct BaselineEntry { rule, path, fingerprint, message });
-
-/// v1 wire form: flat entry list under `findings`.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-struct BaselineV1 {
-    version: u64,
-    findings: Vec<BaselineEntry>,
-}
-
-impl_json!(struct BaselineV1 { version, findings });
 
 /// v2 wire form: one entry, rule implied by the enclosing group.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,8 +72,7 @@ struct BaselineV2 {
 
 impl_json!(struct BaselineV2 { version, rules });
 
-/// The in-memory baseline: a flat multiset of accepted findings,
-/// independent of which wire schema it was read from.
+/// The in-memory baseline: a flat multiset of accepted findings.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Baseline {
     /// Accepted findings.
@@ -118,36 +106,29 @@ impl Baseline {
         }
     }
 
-    /// Parse a baseline document, accepting both the v1 flat schema and
-    /// the v2 grouped schema (dispatched on the `version` field).
+    /// Parse a v2 baseline document. Any other `version` is an error.
     pub fn from_json_text(text: &str) -> Result<Baseline, JsonError> {
-        let value = parse(text)?;
-        if let Ok(v2) = BaselineV2::from_json(&value) {
-            if v2.version == 2 {
-                return Ok(Baseline {
-                    findings: v2
-                        .rules
-                        .into_iter()
-                        .flat_map(|group| {
-                            let rule = group.rule;
-                            group
-                                .entries
-                                .into_iter()
-                                .map(move |e| BaselineEntry {
-                                    rule: rule.clone(),
-                                    path: e.path,
-                                    fingerprint: e.fingerprint,
-                                    message: e.message,
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                        .collect(),
-                });
-            }
+        let v2 = BaselineV2::from_json(&parse(text)?)?;
+        if v2.version != 2 {
+            return Err(JsonError::schema(format!(
+                "baseline version {} (expected 2)",
+                v2.version
+            )));
         }
-        let v1 = BaselineV1::from_json(&value)?;
         Ok(Baseline {
-            findings: v1.findings,
+            findings: v2
+                .rules
+                .into_iter()
+                .flat_map(|group| {
+                    let rule = group.rule;
+                    group.entries.into_iter().map(move |e| BaselineEntry {
+                        rule: rule.clone(),
+                        path: e.path,
+                        fingerprint: e.fingerprint,
+                        message: e.message,
+                    })
+                })
+                .collect(),
         })
     }
 
@@ -222,15 +203,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_parse() {
+    fn documents_other_than_v2_are_rejected() {
         let v1 = r#"{
             "version": 1,
             "findings": [
                 {"rule": "R1", "path": "a.rs", "fingerprint": "R1|a.rs|x", "message": "m"}
             ]
         }"#;
-        let baseline = Baseline::from_json_text(v1).unwrap();
-        assert_eq!(baseline.findings, vec![entry("R1", "a.rs", "R1|a.rs|x")]);
+        assert!(
+            Baseline::from_json_text(v1).is_err(),
+            "v1 document accepted"
+        );
+        let v3 = r#"{"version": 3, "findings": []}"#;
+        assert!(
+            Baseline::from_json_text(v3).is_err(),
+            "v3 document accepted"
+        );
+        let v3_grouped = r#"{"version": 3, "rules": []}"#;
+        assert!(
+            Baseline::from_json_text(v3_grouped).is_err(),
+            "v2-shaped document with version 3 accepted"
+        );
     }
 
     #[test]
@@ -259,18 +252,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_to_v2_migration_preserves_the_multiset() {
-        let v1 = BaselineV1 {
-            version: 1,
+    fn v2_roundtrip_preserves_the_multiset() {
+        let baseline = Baseline {
             findings: vec![
                 entry("R1", "a.rs", "R1|a.rs|x"),
                 entry("R1", "a.rs", "R1|a.rs|x"),
                 entry("D2", "c.rs", "D2|c.rs|z"),
             ],
         };
-        let migrated = Baseline::from_json_text(&(encode_pretty(&v1) + "\n")).unwrap();
-        let text = migrated.to_json_text();
-        let reread = Baseline::from_json_text(&text).unwrap();
+        let reread = Baseline::from_json_text(&baseline.to_json_text()).unwrap();
         // The duplicate R1 entry survives the round trip (multiset).
         assert_eq!(
             reread

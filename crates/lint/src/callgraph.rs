@@ -157,15 +157,6 @@ impl<'a> CallGraph<'a> {
         self.by_qual.get(qual).copied()
     }
 
-    /// All node indices whose qualified name starts with `prefix`.
-    pub fn by_prefix(&self, prefix: &str) -> Vec<usize> {
-        self.by_qual
-            .range(prefix..)
-            .take_while(|(q, _)| q.starts_with(prefix))
-            .map(|(_, &idx)| idx)
-            .collect()
-    }
-
     /// Deterministic shortest call path from `from` to `to`, as
     /// qualified names — used to explain findings. Breadth-first over
     /// sorted edges, so the same path comes back every run.

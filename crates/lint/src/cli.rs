@@ -2,21 +2,19 @@
 //! binary and the `repro lint` subcommand.
 
 use crate::baseline::Baseline;
-use crate::engine::{analyze_files_with, collect_workspace, AnalysisOptions, Report};
+use crate::engine::{analyze_files_with, collect_workspace, Report};
 use appvsweb_json::encode_pretty;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: appvsweb-lint [--root DIR] [--check] [--json] [--fix-baseline] \
-     [--migrate-baseline] [--labels] [--workers N] [--no-cache]\n\
-  (default)           analyze the workspace and list every finding\n\
-  --check             diff findings against lint.baseline.json; exit 1 on new ones\n\
-  --fix-baseline      rewrite lint.baseline.json to accept the current findings\n\
-  --migrate-baseline  rewrite lint.baseline.json in place to schema v2 (no re-analysis)\n\
-  --json              print the full report as canonical JSON (always exits 0)\n\
-  --labels            print only the D3 fork-label table\n\
-  --workers N         per-file analysis threads (default 1; output is identical for any N)\n\
-  --no-cache          skip the content-hash cache under target/lint-cache/\n\
-  --root DIR          workspace root (default: discovered from the cwd)";
+     [--labels] [--workers N]\n\
+  (default)       analyze the workspace and list every finding\n\
+  --check         diff findings against lint.baseline.json (schema v2); exit 1 on new ones\n\
+  --fix-baseline  rewrite lint.baseline.json to accept the current findings\n\
+  --json          print the full report as canonical JSON (always exits 0)\n\
+  --labels        print only the D3 fork-label table\n\
+  --workers N     analysis threads (default: available cores, at most 16); any N gives the same output\n\
+  --root DIR      workspace root (default: discovered from the cwd)";
 
 /// The committed baseline file name, at the workspace root.
 pub const BASELINE_FILE: &str = "lint.baseline.json";
@@ -26,10 +24,8 @@ struct Options {
     check: bool,
     json: bool,
     fix_baseline: bool,
-    migrate_baseline: bool,
     labels_only: bool,
     workers: usize,
-    no_cache: bool,
 }
 
 /// Run the CLI with pre-split arguments; returns the process exit code
@@ -40,10 +36,8 @@ pub fn run(args: &[String]) -> i32 {
         check: false,
         json: false,
         fix_baseline: false,
-        migrate_baseline: false,
         labels_only: false,
-        workers: 1,
-        no_cache: false,
+        workers: appvsweb_core::exec::available_workers(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -52,9 +46,7 @@ pub fn run(args: &[String]) -> i32 {
             "--check" => opts.check = true,
             "--json" => opts.json = true,
             "--fix-baseline" => opts.fix_baseline = true,
-            "--migrate-baseline" => opts.migrate_baseline = true,
             "--labels" => opts.labels_only = true,
-            "--no-cache" => opts.no_cache = true,
             "--workers" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => opts.workers = n,
                 _ => {
@@ -84,10 +76,6 @@ pub fn run(args: &[String]) -> i32 {
         }
     };
 
-    if opts.migrate_baseline {
-        return migrate_baseline(&root);
-    }
-
     let files = match collect_workspace(&root) {
         Ok(files) => files,
         Err(err) => {
@@ -98,11 +86,7 @@ pub fn run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let analysis_opts = AnalysisOptions {
-        workers: opts.workers,
-        cache_dir: (!opts.no_cache).then(|| root.join("target").join("lint-cache")),
-    };
-    let report = analyze_files_with(&files, &analysis_opts);
+    let report = analyze_files_with(&files, opts.workers);
 
     if opts.json {
         // Machine-readable mode: the canonical report (findings sorted
@@ -149,41 +133,6 @@ pub fn run(args: &[String]) -> i32 {
     print_findings(&report.findings, "findings");
     print_labels(&report);
     i32::from(!report.findings.is_empty())
-}
-
-/// `--migrate-baseline`: read the committed baseline (v1 or v2) and
-/// rewrite it as v2, without re-running the analysis.
-fn migrate_baseline(root: &Path) -> i32 {
-    let path = root.join(BASELINE_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("appvsweb-lint: cannot read {}: {err}", path.display());
-            return 2;
-        }
-    };
-    let baseline = match Baseline::from_json_text(&text) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("appvsweb-lint: bad baseline {}: {err:?}", path.display());
-            return 2;
-        }
-    };
-    if let Err(err) = std::fs::write(&path, baseline.to_json_text()) {
-        eprintln!("appvsweb-lint: cannot write {}: {err}", path.display());
-        return 2;
-    }
-    println!(
-        "baseline migrated to v2: {} entr{} -> {}",
-        baseline.findings.len(),
-        if baseline.findings.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        },
-        path.display()
-    );
-    0
 }
 
 fn check_against_baseline(root: &Path, report: &Report) -> i32 {

@@ -6,10 +6,10 @@
 //! The pipeline has two halves:
 //!
 //! 1. **Per-file** (embarrassingly parallel, fanned out over
-//!    `core::exec::run_indexed`, content-hash cached): lex, mine
-//!    annotations, find test regions, run the file-local rules, and
-//!    parse the item table ([`crate::parse`]). The result is a
-//!    [`FileAnalysis`] — a pure function of one file's bytes.
+//!    `core::exec::run_indexed`): lex, mine annotations, find test
+//!    regions, run the file-local rules, and parse the item table
+//!    ([`crate::parse`]). The result is a [`FileAnalysis`] — a pure
+//!    function of one file's bytes.
 //! 2. **Cross-file** (sequential, cheap): D3 label uniqueness, the
 //!    workspace call graph ([`crate::callgraph`]), and the T1/R1x/D3x
 //!    passes ([`crate::taint`]), folded over the ordered per-file
@@ -33,7 +33,6 @@ use crate::rules;
 use crate::taint;
 use appvsweb_json::impl_json;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 /// One source file handed to the analyzer. `path` is workspace-relative
 /// with `/` separators; classification keys off it.
@@ -127,18 +126,6 @@ pub struct RuleCount {
 }
 
 impl_json!(struct RuleCount { rule, count });
-
-/// One valid `lint:allow` annotation, serialized into the cache so the
-/// cross-file passes can honor per-line suppressions on warm runs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AllowSpan {
-    /// 1-based line the annotation sits on.
-    pub line: u64,
-    /// Rules it waives.
-    pub rules: Vec<String>,
-}
-
-impl_json!(struct AllowSpan { line, rules });
 
 /// The full analysis result.
 #[derive(Clone, Debug)]
@@ -307,23 +294,19 @@ pub(crate) struct FileSink {
 /// Rule ids the annotation parser accepts.
 pub const RULES: &[&str] = &["D1", "D2", "D3", "D3x", "R1", "R1x", "R2", "S1", "T1"];
 
-/// The complete per-file analysis: everything downstream phases need,
-/// serialized into the content-hash cache (see [`crate::cache`]).
+/// The complete per-file analysis: everything the cross-file phase
+/// needs about one file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileAnalysis {
-    /// [`crate::parse::TABLE_SCHEMA`] at computation time; a mismatch
-    /// on load invalidates the entry.
-    pub schema: u64,
-    /// Workspace-relative path (cache-entry identity check).
-    pub path: String,
     /// Findings from the file-local rules.
     pub findings: Vec<Finding>,
     /// D3 label-table contributions.
     pub labels: Vec<LabelSite>,
     /// Suppressed sites per rule (file-local rules only).
-    pub suppressed: Vec<RuleCount>,
-    /// Valid allow annotations, for the cross-file passes.
-    pub allow_spans: Vec<AllowSpan>,
+    pub suppressed: BTreeMap<String, u64>,
+    /// Valid allow annotations, line → waived rules, for the cross-file
+    /// passes.
+    pub allow_lines: BTreeMap<u32, Vec<String>>,
     /// Tokens lexed.
     pub tokens: u64,
     /// Valid allow annotations seen.
@@ -332,43 +315,19 @@ pub struct FileAnalysis {
     pub table: FileTable,
 }
 
-impl_json!(struct FileAnalysis {
-    schema, path, findings, labels, suppressed, allow_spans, tokens, allows, table
-});
-
-/// Tuning for [`analyze_files_with`].
-#[derive(Clone, Debug, Default)]
-pub struct AnalysisOptions {
-    /// Worker threads for the per-file phase (`0`/`1` = inline). The
-    /// report is byte-identical for every worker count.
-    pub workers: usize,
-    /// Cache directory (`target/lint-cache/`); `None` disables caching.
-    pub cache_dir: Option<PathBuf>,
-}
-
-/// Analyze a set of in-memory files with default options (single
-/// worker, no cache) — the path unit tests and fuzz harnesses use.
+/// Analyze a set of in-memory files on the calling thread — the path
+/// unit tests and fuzz harnesses use.
 pub fn analyze_files(files: &[SourceFile]) -> Report {
-    analyze_files_with(files, &AnalysisOptions::default())
+    analyze_files_with(files, 1)
 }
 
-/// The whole pipeline: the parallel per-file phase, then the sequential
-/// cross-file phase. See the module docs for the determinism argument.
-pub fn analyze_files_with(files: &[SourceFile], opts: &AnalysisOptions) -> Report {
+/// The whole pipeline: the per-file phase on `workers` threads (`0`/`1`
+/// = inline), then the sequential cross-file phase. The report is
+/// byte-identical for every worker count; see the module docs for the
+/// determinism argument.
+pub fn analyze_files_with(files: &[SourceFile], workers: usize) -> Report {
     let analyses: Vec<FileAnalysis> =
-        appvsweb_core::exec::run_indexed(files, opts.workers.max(1), 4, |_, file| {
-            match &opts.cache_dir {
-                Some(dir) => {
-                    let hash = crate::cache::fnv1a64(file.text.as_bytes());
-                    crate::cache::load(dir, &file.path, hash).unwrap_or_else(|| {
-                        let analysis = analyze_one(file);
-                        crate::cache::store(dir, hash, &analysis);
-                        analysis
-                    })
-                }
-                None => analyze_one(file),
-            }
-        });
+        appvsweb_core::exec::run_indexed(files, workers.max(1), 4, |_, file| analyze_one(file));
 
     // Sequential fold over the ordered per-file results.
     let mut findings: Vec<Finding> = Vec::new();
@@ -382,19 +341,13 @@ pub fn analyze_files_with(files: &[SourceFile], opts: &AnalysisOptions) -> Repor
     for analysis in analyses {
         findings.extend(analysis.findings);
         labels.extend(analysis.labels);
-        for rc in analysis.suppressed {
-            *suppressed.entry(rc.rule).or_insert(0) += rc.count;
+        for (rule, count) in analysis.suppressed {
+            *suppressed.entry(rule).or_insert(0) += count;
         }
         tokens += analysis.tokens;
         allows += analysis.allows;
         classes.push(classify(&analysis.table.path));
-        allow_maps.push(
-            analysis
-                .allow_spans
-                .into_iter()
-                .map(|s| (s.line as u32, s.rules))
-                .collect(),
-        );
+        allow_maps.push(analysis.allow_lines);
         tables.push(analysis.table);
     }
 
@@ -473,23 +426,10 @@ pub fn analyze_one(file: &SourceFile) -> FileAnalysis {
     rules::run_file_rules(&ctx, &mut sink);
 
     FileAnalysis {
-        schema: crate::parse::TABLE_SCHEMA,
-        path: file.path.clone(),
         findings: sink.findings,
         labels: sink.labels,
-        suppressed: sink
-            .suppressed
-            .into_iter()
-            .map(|(rule, count)| RuleCount { rule, count })
-            .collect(),
-        allow_spans: ctx
-            .allows
-            .iter()
-            .map(|(&line, rules)| AllowSpan {
-                line: line as u64,
-                rules: rules.clone(),
-            })
-            .collect(),
+        suppressed: sink.suppressed,
+        allow_lines: ctx.allows,
         tokens,
         allows: valid,
         table,

@@ -9,8 +9,9 @@
 //!
 //! * a small, lossless, literal/comment-aware Rust lexer ([`lexer`]);
 //! * a scope-tracked item/signature/body parser over the token stream
-//!   ([`parse`]) producing per-file item tables, content-hash cached
-//!   under `target/lint-cache/` ([`cache`]);
+//!   ([`parse`]) producing per-file item tables, computed fresh on every
+//!   run and fanned out over worker threads without changing a byte of
+//!   the report;
 //! * a workspace call graph with path-qualified resolution
 //!   ([`callgraph`]);
 //! * file-local rules ([`engine`], [`rules`]): `D1` no wall clocks,
@@ -27,8 +28,8 @@
 //! * inline `lint:allow(R1) reason`-style suppressions the engine
 //!   parses, validates, and tallies;
 //! * a committed `lint.baseline.json` ([`baseline`], schema v2 grouped
-//!   by rule) so CI fails on *new* violations while existing debt
-//!   burns down.
+//!   by rule; any other version is rejected) so CI fails on *new*
+//!   violations while existing debt burns down.
 //!
 //! Run it as `cargo run -p appvsweb-lint -- --check` (what `ci.sh`
 //! does) or via the `repro lint` subcommand.
@@ -39,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod cli;
 pub mod engine;
@@ -51,8 +51,8 @@ pub mod taint;
 
 pub use baseline::{Baseline, BaselineDiff, BaselineEntry};
 pub use engine::{
-    analyze_files, analyze_files_with, analyze_one, classify, collect_workspace, AnalysisOptions,
-    FileAnalysis, FileClass, Finding, Report, SourceFile,
+    analyze_files, analyze_files_with, analyze_one, classify, collect_workspace, FileAnalysis,
+    FileClass, Finding, Report, SourceFile,
 };
 pub use lexer::{lex, Tok, TokKind};
 pub use parse::{FileTable, FnItem};

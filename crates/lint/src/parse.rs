@@ -5,16 +5,13 @@
 //! interprocedural passes need — which functions exist (with qualified
 //! names), which type names appear in their signatures, what each body
 //! *calls*, where it can panic, where it forks RNG streams, and which
-//! struct fields carry which types — and nothing else. Three properties
+//! struct fields carry which types — and nothing else. Two properties
 //! the rest of the crate relies on:
 //!
 //! 1. **Total**: any token stream, including invalid or truncated Rust,
 //!    parses without panicking (the `lint_parse` fuzz target pins this).
 //! 2. **Deterministic**: the table is a pure function of the token
 //!    stream; item order follows source order.
-//! 3. **Serializable**: every table type round-trips through
-//!    `impl_json!`, which is what makes the content-hash cache in
-//!    [`crate::cache`] possible.
 //!
 //! Parsing is scope-tracked, not grammar-driven: a cursor walks the
 //! significant tokens keeping a stack of `mod`/`impl`/`trait`/`fn`
@@ -24,12 +21,7 @@
 
 use crate::engine::SigView;
 use crate::lexer::TokKind;
-use appvsweb_json::impl_json;
 use std::collections::BTreeMap;
-
-/// Schema version of the serialized table; bump when any table type
-/// changes shape so stale cache entries self-invalidate.
-pub const TABLE_SCHEMA: u64 = 2;
 
 /// One call site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,8 +34,6 @@ pub struct CallSite {
     /// 1-based source line.
     pub line: u64,
 }
-
-impl_json!(struct CallSite { target, method, line });
 
 /// One potentially panicking site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,8 +48,6 @@ pub struct PanicSite {
     pub allowed: bool,
 }
 
-impl_json!(struct PanicSite { kind, line, allowed });
-
 /// One `.fork(...)` or `.fork_prefix(...)` site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForkSite {
@@ -71,8 +59,6 @@ pub struct ForkSite {
     /// 1-based source line.
     pub line: u64,
 }
-
-impl_json!(struct ForkSite { label_item, literal, line });
 
 /// One function (free fn, inherent/trait method, or nested fn).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,11 +88,6 @@ pub struct FnItem {
     pub in_test: bool,
 }
 
-impl_json!(struct FnItem {
-    name, qual, self_ty, line, sig_types, ret_types, calls, panics, forks,
-    catches_unwind, in_test
-});
-
 /// One `struct`/`enum` definition with the identifier tokens of its
 /// field/variant payload types.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -121,8 +102,6 @@ pub struct TypeItem {
     pub field_types: Vec<String>,
 }
 
-impl_json!(struct TypeItem { name, qual, line, field_types });
-
 /// One name a `use` declaration brings into file scope.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UseDecl {
@@ -131,8 +110,6 @@ pub struct UseDecl {
     /// The full `::`-joined path the name refers to.
     pub path: String,
 }
-
-impl_json!(struct UseDecl { name, path });
 
 /// The per-file item table the workspace passes consume.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -148,8 +125,6 @@ pub struct FileTable {
     /// `use` declarations, expanded one name per entry.
     pub uses: Vec<UseDecl>,
 }
-
-impl_json!(struct FileTable { path, module, fns, types, uses });
 
 /// Derive the module path of a file from its workspace-relative path.
 ///

@@ -226,12 +226,6 @@ impl Meddle {
         &self.ca
     }
 
-    /// Mutable access to the tunnel's DNS resolver (to pre-register hosts
-    /// or inspect query statistics).
-    pub fn dns_mut(&mut self) -> &mut DnsResolver {
-        &mut self.dns
-    }
-
     /// Perform one HTTP(S) exchange through the tunnel.
     ///
     /// * `client_trust`/`client_pins` — the device/app TLS view.
@@ -547,11 +541,6 @@ impl Meddle {
             self.tls_session_cache.insert(host.to_string());
         }
         result
-    }
-
-    /// Number of currently open (pooled) connections.
-    pub fn open_connections(&self) -> usize {
-        self.pool.len()
     }
 
     /// End the session: close everything and take the trace. The tunnel

@@ -237,12 +237,6 @@ impl Device {
         }
     }
 
-    /// The advertising identifier — available to all apps on both
-    /// platforms without a permission prompt.
-    pub fn read_ad_id(&self) -> &str {
-        &self.ids.ad_id
-    }
-
     /// The Android ID (Android only, no permission needed on 4.4).
     pub fn read_android_id(&self) -> Option<&str> {
         match self.os {

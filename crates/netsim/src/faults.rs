@@ -310,11 +310,6 @@ impl FaultInjector {
         Self::new(FaultPlan::none(), SimRng::new(0))
     }
 
-    /// Whether this injector can ever fire.
-    pub fn is_disabled(&self) -> bool {
-        self.plan.is_none()
-    }
-
     /// The plan this injector rolls.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan

@@ -27,19 +27,6 @@ impl Link {
         }
     }
 
-    /// A fast LAN link for tests.
-    pub fn lan() -> Self {
-        Link {
-            rtt_ms: 1,
-            bytes_per_sec: 100_000_000,
-        }
-    }
-
-    /// One-way propagation delay.
-    pub fn one_way(&self) -> SimDuration {
-        SimDuration(self.rtt_ms / 2)
-    }
-
     /// Full round-trip delay.
     pub fn round_trip(&self) -> SimDuration {
         SimDuration(self.rtt_ms)

@@ -8,7 +8,7 @@
 //! and scores any detection function with precision/recall per PII type
 //! and per encoding.
 
-use crate::encode::{search_chains, EncodingChain};
+use crate::encode::search_chains;
 use crate::profile::GroundTruth;
 use crate::types::PiiType;
 use std::collections::BTreeMap;
@@ -228,11 +228,6 @@ where
         }
     }
     eval
-}
-
-/// Which encoding chains the corpus builder plants (for reporting).
-pub fn corpus_chains() -> Vec<EncodingChain> {
-    search_chains()
 }
 
 #[cfg(test)]

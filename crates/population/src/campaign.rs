@@ -67,10 +67,7 @@ impl Default for CampaignConfig {
         CampaignConfig {
             users: 10_000,
             shards: 64,
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(16),
+            workers: appvsweb_core::exec::available_workers(),
             seed: 2016,
         }
     }

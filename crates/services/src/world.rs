@@ -64,11 +64,6 @@ impl OriginWorld {
         self.faults.take_counts()
     }
 
-    /// The public root CA. Devices and the Meddle proxy must trust this.
-    pub fn root_ca(&self) -> &CertificateAuthority {
-        &self.ca
-    }
-
     /// A trust store containing exactly this world's public root.
     pub fn public_trust(&self) -> TrustStore {
         let mut t = TrustStore::new();

@@ -20,14 +20,6 @@ impl TrustStore {
         Self::default()
     }
 
-    /// The stock mobile trust store: a handful of public roots that sign
-    /// every legitimate server certificate in the simulated world.
-    pub fn system_default(public_roots: impl IntoIterator<Item = KeyId>) -> Self {
-        TrustStore {
-            roots: public_roots.into_iter().collect(),
-        }
-    }
-
     /// Trust a new root (e.g. installing the interception proxy's CA).
     pub fn add_root(&mut self, root: &Certificate) {
         self.roots.insert(root.key);
